@@ -3,7 +3,8 @@
 //! directory.
 
 use muffin::{
-    MuffinError, MuffinSearch, PersistenceOptions, SearchConfig, SearchOutcome, WorkerPool,
+    random_search, successive_halving, HalvingConfig, MuffinError, MuffinSearch,
+    PersistenceOptions, SearchConfig, SearchOutcome, Tracer, WorkerPool,
 };
 use muffin_data::{DatasetSplit, IsicLike};
 use muffin_models::{Architecture, BackboneConfig, ModelPool};
@@ -57,9 +58,55 @@ pub fn golden_outcome_json(workers: &WorkerPool) -> String {
 /// Path of the committed golden snapshot
 /// (`tests/golden/search_outcome.json` from the repository root).
 pub fn golden_snapshot_path() -> PathBuf {
+    golden_path("search_outcome.json")
+}
+
+/// Path of a committed golden file under `tests/golden/`.
+pub fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("golden")
-        .join("search_outcome.json")
+        .join(name)
+}
+
+/// [`random_search`] over the golden recipe's search, from the recipe's
+/// RNG, serialised as [`SearchOutcome::save_json`] would write it.
+pub fn golden_random_search_json() -> String {
+    let (search, rng) = golden_search();
+    let outcome = random_search(&search, &mut rng.clone()).expect("golden random search runs");
+    muffin_json::to_string(&outcome)
+}
+
+/// The frozen [`successive_halving`] schedule of the golden files: six
+/// candidates at two head epochs, then the best three at four.
+pub fn golden_halving_config() -> HalvingConfig {
+    HalvingConfig {
+        initial_population: 6,
+        keep_fraction: 0.5,
+        initial_epochs: 2,
+        epoch_growth: 2.0,
+        rungs: 2,
+    }
+}
+
+/// [`successive_halving`] over the golden recipe's search under
+/// [`golden_halving_config`], serialised like [`golden_random_search_json`].
+pub fn golden_halving_json() -> String {
+    let (search, rng) = golden_search();
+    let outcome = successive_halving(&search, &golden_halving_config(), &mut rng.clone())
+        .expect("golden halving runs");
+    muffin_json::to_string(&outcome)
+}
+
+/// The golden recipe run on `workers` under a capturing tracer: its
+/// event log with every timing zeroed ([`muffin_trace::TraceLog::stripped`]),
+/// as JSON.
+pub fn golden_trace_json(workers: &WorkerPool) -> String {
+    let (search, rng) = golden_search();
+    let search = search.with_tracer(Tracer::capturing());
+    search
+        .run_with_pool(&mut rng.clone(), workers)
+        .expect("golden search runs");
+    muffin_json::to_string(&search.tracer().finish().stripped())
 }
 
 /// Runs the golden recipe **interrupted**: the first run halts (with a

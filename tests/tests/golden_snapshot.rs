@@ -1,16 +1,39 @@
 //! Golden-snapshot determinism suite: the serialised `SearchOutcome` of a
 //! frozen recipe is committed at `tests/golden/search_outcome.json`, and
 //! re-running the recipe — serially or on a four-worker pool — must
-//! reproduce it byte for byte.
+//! reproduce it byte for byte. Three more files pin the rest of the
+//! candidate-evaluation surface on the same fixture: the `random_search`
+//! and `successive_halving` outcomes, and the recipe's stripped trace log
+//! (every span, counter and histogram count a traced search records).
 //!
-//! If an intentional behaviour change invalidates the snapshot, regenerate
-//! it with `scripts/regen-golden.sh` and commit the diff alongside the
-//! change that caused it.
+//! If an intentional behaviour change invalidates a golden file,
+//! regenerate them all with `scripts/regen-golden.sh` and commit the diff
+//! alongside the change that caused it.
 
 use muffin::WorkerPool;
 use muffin_integration_tests::{
-    golden_outcome_json, golden_outcome_json_resumed, golden_snapshot_path,
+    golden_halving_json, golden_outcome_json, golden_outcome_json_resumed, golden_path,
+    golden_random_search_json, golden_snapshot_path, golden_trace_json,
 };
+
+fn assert_matches_golden(actual: &str, name: &str, label: &str) {
+    let path = golden_path(name);
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "cannot read committed golden file {}: {e}\n\
+             generate it with scripts/regen-golden.sh",
+            path.display()
+        )
+    });
+    assert!(
+        actual == expected,
+        "{label} diverged from tests/golden/{name} ({} vs {} bytes).\n\
+         If this change is intentional, refresh the golden files with \
+         scripts/regen-golden.sh and commit the updated files.",
+        actual.len(),
+        expected.len()
+    );
+}
 
 fn committed_snapshot() -> String {
     let path = golden_snapshot_path();
@@ -92,14 +115,51 @@ fn blocked_kernels_reproduce_the_snapshot_at_every_worker_count() {
     }
 }
 
+#[test]
+fn random_search_reproduces_the_committed_outcome() {
+    assert_matches_golden(
+        &golden_random_search_json(),
+        "random_search_outcome.json",
+        "random_search SearchOutcome",
+    );
+}
+
+#[test]
+fn successive_halving_reproduces_the_committed_outcome() {
+    assert_matches_golden(
+        &golden_halving_json(),
+        "halving_outcome.json",
+        "successive_halving SearchOutcome",
+    );
+}
+
+#[test]
+fn stripped_trace_reproduces_the_committed_log() {
+    for workers in [WorkerPool::serial(), WorkerPool::new(4)] {
+        assert_matches_golden(
+            &golden_trace_json(&workers),
+            "search_trace.json",
+            &format!("{}-worker stripped trace log", workers.workers()),
+        );
+    }
+}
+
 /// Regeneration path, invoked by `scripts/regen-golden.sh`:
 /// `cargo test ... -- --ignored regenerate_golden_snapshot`.
 #[test]
-#[ignore = "rewrites tests/golden/search_outcome.json; run via scripts/regen-golden.sh"]
+#[ignore = "rewrites the files under tests/golden/; run via scripts/regen-golden.sh"]
 fn regenerate_golden_snapshot() {
-    let path = golden_snapshot_path();
-    std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir golden");
-    let json = golden_outcome_json(&WorkerPool::serial());
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    println!("wrote {} ({} bytes)", path.display(), json.len());
+    let files = [
+        ("search_outcome.json", golden_outcome_json(&WorkerPool::serial())),
+        ("random_search_outcome.json", golden_random_search_json()),
+        ("halving_outcome.json", golden_halving_json()),
+        ("search_trace.json", golden_trace_json(&WorkerPool::serial())),
+    ];
+    for (name, json) in files {
+        let path = golden_path(name);
+        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir golden");
+        std::fs::write(&path, &json)
+            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+        println!("wrote {} ({} bytes)", path.display(), json.len());
+    }
 }
