@@ -2,7 +2,7 @@
 //! ablation called out in `DESIGN.md`: gated prediction vs head-always
 //! prediction, and Algorithm-1-weighted vs uniform head training.
 
-use muffin::{FusingStructure, HeadSpec, HeadTrainConfig, PrivilegeMap, ProxyDataset, WorkerPool};
+use muffin::{FusingStructure, HeadSpec, HeadTrainConfig, PrivilegeMap, ProxyDataset};
 use muffin_bench::timing::{black_box, Harness};
 use muffin_data::{DatasetSplit, IsicLike};
 use muffin_models::{Architecture, BackboneConfig, ModelPool};
@@ -61,12 +61,6 @@ fn bench_prediction_gating_ablation(h: &mut Harness) {
     h.bench("fused_prediction/consensus_gated", || {
         black_box(fusing.predict(&pool, split.test.features()))
     });
-    // Row-chunked batch inference on the shared worker pool; serial vs
-    // 4 workers is tracked in the suite JSON alongside the gated paths.
-    let workers = WorkerPool::new(4);
-    h.bench("fused_prediction/consensus_gated_parallel_4w", || {
-        black_box(fusing.predict_with(&pool, split.test.features(), &workers))
-    });
     fusing.set_consensus_gating(false);
     h.bench("fused_prediction/head_always", || {
         black_box(fusing.predict(&pool, split.test.features()))
@@ -75,9 +69,9 @@ fn bench_prediction_gating_ablation(h: &mut Harness) {
     // The search hot path: body outputs computed once up front, every
     // candidate prediction served from the cache.
     let cache = muffin::BodyOutputCache::new(&pool, split.test.features().clone());
-    black_box(fusing.predict_cached(&cache)); // warm the slots
+    black_box(fusing.try_predict_cached(&cache).expect("valid")); // warm the slots
     h.bench("fused_prediction/body_cached", || {
-        black_box(fusing.predict_cached(&cache))
+        black_box(fusing.try_predict_cached(&cache).expect("valid"))
     });
 }
 

@@ -159,11 +159,6 @@ impl Args {
             })
             .unwrap_or_default()
     }
-
-    /// Names of options that were supplied.
-    pub fn option_names(&self) -> impl Iterator<Item = &str> {
-        self.options.keys().map(String::as_str)
-    }
 }
 
 #[cfg(test)]

@@ -453,6 +453,9 @@ fn search(args: &Args) -> Result<(), String> {
     }
     let episodes = args.get_u32("episodes", 150)?;
     let slots = args.get_usize("slots", 2)?;
+    if slots == 0 {
+        return Err("--slots must be at least 1".into());
+    }
     let seed = args.get_u64("seed", 7)?;
     let workers = args.get_usize("workers", muffin::available_parallelism())?;
     if workers == 0 {

@@ -292,6 +292,9 @@ pub(crate) fn matrix(args: &Args) -> Result<(), String> {
     }
     let samples = args.get_usize("samples", 1_200)?;
     let slots = args.get_usize("slots", 2)?;
+    if slots == 0 {
+        return Err("--slots must be at least 1".into());
+    }
     let batch = args.get_usize("batch", 4)?;
     if batch == 0 {
         return Err("--batch must be at least 1".into());

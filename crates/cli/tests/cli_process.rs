@@ -992,6 +992,28 @@ fn serve_and_loadgen_reject_bad_flags_before_training_anything() {
 }
 
 #[test]
+fn zero_slots_is_rejected_before_any_file_is_read() {
+    // The input paths do not exist: the flag check must fire before any
+    // file is opened, naming the flag instead of panicking.
+    let out_dir = tmp("zero_slots_matrix");
+    let search = "search --data /nonexistent/data.json --pool /nonexistent/pool.json \
+                  --attrs age --out /nonexistent/outcome.json --slots 0"
+        .to_string();
+    let matrix = format!("matrix --scenarios german-credit --out-dir {out_dir} --slots 0");
+    for command in [search, matrix] {
+        let args: Vec<&str> = command.split_whitespace().collect();
+        let out = muffin(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command}: {stderr}");
+        assert!(stderr.contains("--slots"), "{command}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{command}: {stderr}");
+        assert!(!stderr.contains("/nonexistent"), "{command}: {stderr}");
+    }
+    let created = std::path::Path::new(&out_dir).exists();
+    assert!(!created, "a rejected matrix created --out-dir");
+}
+
+#[test]
 fn bad_arguments_exit_with_usage_code() {
     let out = muffin(&["search", "--workers"]);
     assert_eq!(

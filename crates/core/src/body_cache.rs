@@ -1,5 +1,6 @@
 use muffin_models::ModelPool;
 use muffin_tensor::Matrix;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -53,7 +54,7 @@ struct BodyOutput {
 #[derive(Debug)]
 pub struct BodyOutputCache<'p> {
     pool: &'p ModelPool,
-    features: Matrix,
+    features: Cow<'p, Matrix>,
     slots: Vec<OnceLock<BodyOutput>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -63,6 +64,17 @@ impl<'p> BodyOutputCache<'p> {
     /// Creates an empty cache over `pool` for the given feature matrix.
     /// No forward pass runs until a slot is first accessed.
     pub fn new(pool: &'p ModelPool, features: Matrix) -> Self {
+        Self::over(pool, Cow::Owned(features))
+    }
+
+    /// Like [`BodyOutputCache::new`], borrowing `features` instead of
+    /// owning them: callers scoring a matrix they already hold skip the
+    /// copy.
+    pub(crate) fn borrowing(pool: &'p ModelPool, features: &'p Matrix) -> Self {
+        Self::over(pool, Cow::Borrowed(features))
+    }
+
+    fn over(pool: &'p ModelPool, features: Cow<'p, Matrix>) -> Self {
         let slots = (0..pool.len()).map(|_| OnceLock::new()).collect();
         Self {
             pool,
@@ -148,8 +160,7 @@ impl<'p> BodyOutputCache<'p> {
     }
 
     /// Concatenated cached probabilities for the given body — the muffin
-    /// head's input representation, identical to
-    /// [`crate::FusingStructure::head_inputs`] on the same features.
+    /// head's input representation.
     ///
     /// # Panics
     ///

@@ -12,6 +12,7 @@ use muffin_data::Dataset;
 use muffin_models::ModelPool;
 use muffin_nn::{Activation, ClassifierTrainer, LossKind, LrSchedule, Mlp, MlpSpec};
 use muffin_tensor::{Matrix, Rng64};
+use muffin_trace::Tracer;
 
 /// Configuration for distilling a fused model into a student MLP.
 #[derive(Debug, Clone)]
@@ -116,7 +117,15 @@ pub fn distill_student(
     let mut student = Mlp::new(&spec, rng);
     let trainer =
         ClassifierTrainer::new(config.epochs, config.batch_size).with_schedule(config.schedule);
-    trainer.fit(&mut student, train.features(), &teacher_labels, None, LossKind::CrossEntropy, rng);
+    trainer.fit(
+        &mut student,
+        train.features(),
+        &teacher_labels,
+        None,
+        LossKind::CrossEntropy,
+        rng,
+        &Tracer::noop(),
+    );
     Ok(DistilledStudent { student, teacher_params: fusing.total_reported_params(pool) })
 }
 

@@ -1,8 +1,7 @@
-use crate::{MuffinError, ProxyDataset};
+use crate::{BodyOutputCache, MuffinError, ProxyDataset};
 use muffin_data::Dataset;
 use muffin_models::ModelPool;
 use muffin_nn::{Activation, ClassifierTrainer, LossKind, LrSchedule, Mlp, MlpSpec};
-use muffin_par::WorkerPool;
 use muffin_tensor::{Matrix, Rng64};
 use muffin_trace::Tracer;
 use std::fmt;
@@ -251,23 +250,12 @@ impl FusingStructure {
         body + self.head_param_count() as u64
     }
 
-    /// Concatenated body probabilities — the head's input representation.
-    pub fn head_inputs(&self, pool: &ModelPool, features: &Matrix) -> Matrix {
-        let probs: Vec<Matrix> = self
-            .model_indices
-            .iter()
-            .map(|&i| {
-                pool.get(i)
-                    .expect("validated index")
-                    .predict_proba(features)
-            })
-            .collect();
-        let refs: Vec<&Matrix> = probs.iter().collect();
-        Matrix::hcat(&refs).expect("equal row counts by construction")
-    }
-
     /// Trains the head on the proxy dataset with the paper's Eq. 2 loss
     /// (or the configured alternative). Body parameters stay frozen.
+    ///
+    /// Each body model runs one forward pass over the proxy rows of
+    /// `source`; the head then trains on their concatenated probabilities
+    /// through [`FusingStructure::train_head_on_inputs`].
     pub fn train_head(
         &mut self,
         pool: &ModelPool,
@@ -276,41 +264,25 @@ impl FusingStructure {
         config: &HeadTrainConfig,
         rng: &mut Rng64,
     ) {
-        self.train_head_traced(pool, source, proxy, config, rng, &Tracer::noop());
-    }
-
-    /// Like [`FusingStructure::train_head`], recording a
-    /// `fusing.train_head` span (epochs, steps, final loss) plus one
-    /// `nn.epoch` span per epoch into `tracer`. With a no-op tracer this is
-    /// exactly `train_head`: tracing never touches the RNG, so the trained
-    /// head is bit-identical either way.
-    pub fn train_head_traced(
-        &mut self,
-        pool: &ModelPool,
-        source: &Dataset,
-        proxy: &ProxyDataset,
-        config: &HeadTrainConfig,
-        rng: &mut Rng64,
-        tracer: &Tracer,
-    ) {
-        let features = source.features().select_rows(proxy.indices());
-        let labels: Vec<usize> = proxy
-            .indices()
-            .iter()
-            .map(|&i| source.labels()[i])
-            .collect();
-        let inputs = self.head_inputs(pool, &features);
-        self.train_head_on_inputs_traced(&inputs, &labels, proxy.weights(), config, rng, tracer);
+        let (bodies, labels) = proxy.bodies(pool, source);
+        self.train_head_on_inputs(
+            &bodies.head_inputs(&self.model_indices),
+            &labels,
+            proxy.weights(),
+            config,
+            rng,
+            &Tracer::noop(),
+        );
     }
 
     /// Trains the head directly on precomputed head inputs (concatenated
-    /// body probabilities), e.g. from a [`crate::BodyOutputCache`].
+    /// body probabilities, e.g. [`BodyOutputCache::head_inputs`]).
     ///
-    /// Records the same `fusing.train_head` span as
-    /// [`FusingStructure::train_head_traced`] and draws identically from
-    /// `rng`, so the trained head is bit-identical to the uncached path
-    /// when the inputs are.
-    pub fn train_head_on_inputs_traced(
+    /// Records a `fusing.train_head` span (epochs, steps, final loss,
+    /// samples) plus one `nn.epoch` span per epoch into `tracer`. Tracing
+    /// never touches `rng`, so the trained head is bit-identical with a
+    /// capturing or a no-op tracer.
+    pub fn train_head_on_inputs(
         &mut self,
         inputs: &Matrix,
         labels: &[usize],
@@ -322,7 +294,7 @@ impl FusingStructure {
         let start = std::time::Instant::now();
         let trainer =
             ClassifierTrainer::new(config.epochs, config.batch_size).with_schedule(config.schedule);
-        let report = trainer.fit_traced(
+        let report = trainer.fit(
             &mut self.head,
             inputs,
             labels,
@@ -348,9 +320,9 @@ impl FusingStructure {
     /// Predicts classes for `features`: consensus where the body agrees,
     /// head output where it disagrees.
     ///
-    /// Each body model runs a **single** forward pass: hard predictions
-    /// come from the logits and the head inputs from the softmax of those
-    /// same logits, byte-identical to the former double-forward path.
+    /// Runs [`FusingStructure::try_predict_cached`] over a fresh
+    /// [`BodyOutputCache`] of `features`, so each body model runs a single
+    /// forward pass.
     ///
     /// # Panics
     ///
@@ -358,14 +330,15 @@ impl FusingStructure {
     /// built through [`FusingStructure::new`] against this pool never is.
     /// Request paths handling structures from untrusted sources (e.g.
     /// deserialized checkpoints) should call
-    /// [`FusingStructure::try_predict`] instead.
+    /// [`FusingStructure::try_predict_cached`] instead.
     pub fn predict(&self, pool: &ModelPool, features: &Matrix) -> Vec<usize> {
-        self.try_predict(pool, features)
+        self.try_predict_cached(&BodyOutputCache::borrowing(pool, features))
             .expect("fusing structure validated against this pool")
     }
 
-    /// Like [`FusingStructure::predict`], but validates the body against
-    /// `pool` up front and returns an error instead of panicking.
+    /// Predicts classes from cached body outputs, validating the body
+    /// against the cache's pool up front and returning an error instead of
+    /// panicking — the serving request path's entry point.
     ///
     /// A [`FusingStructure`] deserialized from JSON bypasses the
     /// constructor's checks, so a serving path must not assume its
@@ -374,51 +347,11 @@ impl FusingStructure {
     /// # Errors
     ///
     /// Returns [`MuffinError::InvalidConfig`] if the structure selects no
-    /// body models, or selects an index out of range for `pool`, or if a
-    /// body model's prediction count disagrees with the head's.
-    pub fn try_predict(
-        &self,
-        pool: &ModelPool,
-        features: &Matrix,
-    ) -> Result<Vec<usize>, MuffinError> {
-        self.validate_body(pool.len())?;
-        let mut probs: Vec<Matrix> = Vec::with_capacity(self.model_indices.len());
-        let mut body_preds: Vec<Vec<usize>> = Vec::with_capacity(self.model_indices.len());
-        for &i in &self.model_indices {
-            let (p, preds) = pool.get(i).expect("validated index").outputs(features);
-            probs.push(p);
-            body_preds.push(preds);
-        }
-        let refs: Vec<&Matrix> = probs.iter().collect();
-        let inputs = Matrix::hcat(&refs).expect("equal row counts by construction");
-        let head_preds = self.head.predict(&inputs);
-        self.gated(&body_preds, head_preds)
-    }
-
-    /// Predicts classes using cached body outputs instead of running the
-    /// backbones; identical to [`FusingStructure::predict`] on the cache's
-    /// feature matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the structure's body is invalid for the cache's pool; see
-    /// [`FusingStructure::try_predict_cached`] for the checked variant.
-    pub fn predict_cached(&self, cache: &crate::BodyOutputCache<'_>) -> Vec<usize> {
-        self.try_predict_cached(cache)
-            .expect("fusing structure validated against the cache's pool")
-    }
-
-    /// Like [`FusingStructure::predict_cached`], but validates the body
-    /// against the cache's pool up front and returns an error instead of
-    /// panicking — the serving request path's entry point.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MuffinError::InvalidConfig`] under the same conditions as
-    /// [`FusingStructure::try_predict`].
+    /// body models, or selects an index out of range for the cache's pool,
+    /// or if a body model's prediction count disagrees with the head's.
     pub fn try_predict_cached(
         &self,
-        cache: &crate::BodyOutputCache<'_>,
+        cache: &BodyOutputCache<'_>,
     ) -> Result<Vec<usize>, MuffinError> {
         self.validate_body(cache.pool_len())?;
         let body_preds: Vec<&[usize]> = self
@@ -489,90 +422,27 @@ impl FusingStructure {
             .collect())
     }
 
-    /// Like [`FusingStructure::predict`], with the input rows fanned out
-    /// across `workers` in contiguous chunks.
-    ///
-    /// Predictions are per-row, so the result is identical to the serial
-    /// path for every worker count; small inputs fall back to the serial
-    /// path to avoid paying thread spawn for nothing.
-    pub fn predict_with(
-        &self,
-        pool: &ModelPool,
-        features: &Matrix,
-        workers: &WorkerPool,
-    ) -> Vec<usize> {
-        self.predict_with_traced(pool, features, workers, &Tracer::noop())
-    }
-
-    /// Like [`FusingStructure::predict_with`], observing the batch's
-    /// end-to-end latency into `tracer`'s `fusing.predict_batch` histogram.
-    /// Histogram aggregation is order-insensitive, so this is safe to call
-    /// from worker threads sharing one tracer.
-    pub fn predict_with_traced(
-        &self,
-        pool: &ModelPool,
-        features: &Matrix,
-        workers: &WorkerPool,
-        tracer: &Tracer,
-    ) -> Vec<usize> {
-        let start = std::time::Instant::now();
-        let preds = if workers.is_serial() || features.rows() < 2 * workers.workers() {
-            self.predict(pool, features)
-        } else {
-            let chunks = muffin_par::chunk_ranges(features.rows(), workers.workers());
-            let parts = workers.map(&chunks, |_, range| {
-                // Chunks are contiguous: a block copy of the row range beats
-                // materialising an index vector per chunk and gathering rows
-                // one by one through select_rows.
-                self.predict(pool, &features.row_range(range.clone()))
-            });
-            parts.into_iter().flatten().collect()
-        };
-        tracer.observe("fusing.predict_batch", start.elapsed());
-        preds
-    }
-
-    /// Like [`FusingStructure::evaluate`], observing the prediction
-    /// latency into `tracer`'s `fusing.predict_batch` histogram.
-    pub fn evaluate_traced(
-        &self,
-        pool: &ModelPool,
-        dataset: &Dataset,
-        tracer: &Tracer,
-    ) -> muffin_models::ModelEvaluation {
-        let preds =
-            self.predict_with_traced(pool, dataset.features(), &WorkerPool::serial(), tracer);
-        self.evaluation_of(&preds, pool, dataset)
-    }
-
-    /// Like [`FusingStructure::evaluate_traced`], predicting from cached
-    /// body outputs. `cache` must have been built over `dataset`'s
-    /// features; the result is then identical to the uncached evaluation.
-    pub fn evaluate_cached_traced(
-        &self,
-        pool: &ModelPool,
-        cache: &crate::BodyOutputCache<'_>,
-        dataset: &Dataset,
-        tracer: &Tracer,
-    ) -> muffin_models::ModelEvaluation {
-        let start = std::time::Instant::now();
-        let preds = self.predict_cached(cache);
-        tracer.observe("fusing.predict_batch", start.elapsed());
-        self.evaluation_of(&preds, pool, dataset)
-    }
-
     /// Evaluates the fused model on `dataset`.
     pub fn evaluate(&self, pool: &ModelPool, dataset: &Dataset) -> muffin_models::ModelEvaluation {
-        let preds = self.predict(pool, dataset.features());
-        self.evaluation_of(&preds, pool, dataset)
+        let cache = BodyOutputCache::borrowing(pool, dataset.features());
+        self.evaluate_cached(pool, &cache, dataset, &Tracer::noop())
     }
 
-    fn evaluation_of(
+    /// Evaluates the fused model on `dataset` from `cache`, which must
+    /// hold `dataset`'s features, observing the prediction latency into
+    /// `tracer`'s `fusing.predict_batch` histogram.
+    pub(crate) fn evaluate_cached(
         &self,
-        preds: &[usize],
         pool: &ModelPool,
+        cache: &BodyOutputCache<'_>,
         dataset: &Dataset,
+        tracer: &Tracer,
     ) -> muffin_models::ModelEvaluation {
+        let start = std::time::Instant::now();
+        let preds = self
+            .try_predict_cached(cache)
+            .expect("fusing structure validated against the cache's pool");
+        tracer.observe("fusing.predict_batch", start.elapsed());
         let names: Vec<&str> = self
             .model_indices
             .iter()
@@ -580,7 +450,7 @@ impl FusingStructure {
             .map(|m| m.name())
             .collect();
         let label = format!("Muffin({} | {})", names.join("+"), self.head_spec);
-        muffin_models::ModelEvaluation::of(preds, dataset, label)
+        muffin_models::ModelEvaluation::of(&preds, dataset, label)
     }
 }
 
@@ -648,7 +518,8 @@ mod tests {
             &mut rng,
         )
         .expect("valid");
-        let inputs = fusing.head_inputs(&pool, split.test.features());
+        let cache = BodyOutputCache::new(&pool, split.test.features().clone());
+        let inputs = cache.head_inputs(fusing.model_indices());
         assert_eq!(inputs.cols(), 2 * 8);
         assert_eq!(inputs.rows(), split.test.len());
     }
@@ -775,10 +646,19 @@ mod tests {
             &HeadTrainConfig::fast(),
             &mut rng,
         );
-        let serial = fusing.predict(&pool, split.test.features());
+        // Predictions are per-row: fanning contiguous row ranges out over
+        // any number of workers reproduces the whole-matrix prediction.
+        let features = split.test.features();
+        let serial = fusing.predict(&pool, features);
         for workers in [1usize, 2, 4, 32] {
-            let parallel =
-                fusing.predict_with(&pool, split.test.features(), &WorkerPool::new(workers));
+            let chunks = muffin_par::chunk_ranges(features.rows(), workers);
+            let parallel: Vec<usize> = muffin_par::WorkerPool::new(workers)
+                .map(&chunks, |_, range| {
+                    fusing.predict(&pool, &features.row_range(range.clone()))
+                })
+                .into_iter()
+                .flatten()
+                .collect();
             assert_eq!(serial, parallel, "workers={workers}");
         }
     }
@@ -800,18 +680,37 @@ mod tests {
             &HeadTrainConfig::fast(),
             &mut rng,
         );
-        let cache = crate::BodyOutputCache::new(&pool, split.test.features().clone());
-        let uncached = fusing.predict(&pool, split.test.features());
-        assert_eq!(fusing.predict_cached(&cache), uncached);
-        let eval = fusing.evaluate_cached_traced(&pool, &cache, &split.test, &Tracer::noop());
+        // The uncached reference, from direct model calls: the head reads
+        // the bodies' concatenated probabilities and arbitrates wherever
+        // their hard predictions disagree.
+        let features = split.test.features();
+        let probs: Vec<Matrix> = (0..2)
+            .map(|i| pool.get(i).unwrap().predict_proba(features))
+            .collect();
+        let head = fusing
+            .head
+            .predict(&Matrix::hcat(&[&probs[0], &probs[1]]).unwrap());
+        let bodies: Vec<Vec<usize>> = (0..2)
+            .map(|i| pool.get(i).unwrap().predict(features))
+            .collect();
+        let uncached: Vec<usize> = (0..head.len())
+            .map(|s| {
+                if bodies[0][s] == bodies[1][s] {
+                    bodies[0][s]
+                } else {
+                    head[s]
+                }
+            })
+            .collect();
+        let cache = BodyOutputCache::new(&pool, features.clone());
+        assert_eq!(fusing.try_predict_cached(&cache).unwrap(), uncached);
+        assert_eq!(fusing.predict(&pool, features), uncached);
+        let eval = fusing.evaluate_cached(&pool, &cache, &split.test, &Tracer::noop());
         let direct = fusing.evaluate(&pool, &split.test);
         assert_eq!(eval.accuracy.to_bits(), direct.accuracy.to_bits());
         // Gating off must flow through the cached path too.
         fusing.set_consensus_gating(false);
-        assert_eq!(
-            fusing.predict_cached(&cache),
-            fusing.predict(&pool, split.test.features())
-        );
+        assert_eq!(fusing.try_predict_cached(&cache).unwrap(), head);
     }
 
     #[test]
@@ -830,11 +729,7 @@ mod tests {
             .replace("\"model_indices\":[0,1]", "\"model_indices\":[]");
         let hollow: FusingStructure = muffin_json::from_str(&json).expect("parse");
         assert!(hollow.model_indices().is_empty());
-        let err = hollow
-            .try_predict(&pool, split.test.features())
-            .unwrap_err();
-        assert!(matches!(err, MuffinError::InvalidConfig(_)), "{err:?}");
-        let cache = crate::BodyOutputCache::new(&pool, split.test.features().clone());
+        let cache = BodyOutputCache::new(&pool, split.test.features().clone());
         let err = hollow.try_predict_cached(&cache).unwrap_err();
         assert!(matches!(err, MuffinError::InvalidConfig(_)), "{err:?}");
     }
@@ -852,12 +747,7 @@ mod tests {
         let json = muffin_json::to_string(&fusing)
             .replace("\"model_indices\":[0,1]", "\"model_indices\":[0,9]");
         let wild: FusingStructure = muffin_json::from_str(&json).expect("parse");
-        let err = wild.try_predict(&pool, split.test.features()).unwrap_err();
-        assert!(
-            matches!(&err, MuffinError::InvalidConfig(m) if m.contains("out of range")),
-            "{err:?}"
-        );
-        let cache = crate::BodyOutputCache::new(&pool, split.test.features().clone());
+        let cache = BodyOutputCache::new(&pool, split.test.features().clone());
         let err = wild.try_predict_cached(&cache).unwrap_err();
         assert!(
             matches!(&err, MuffinError::InvalidConfig(m) if m.contains("out of range")),
@@ -921,8 +811,8 @@ mod tests {
             &mut rng,
         )
         .expect("valid");
-        let inputs = fusing.head_inputs(&pool, split.test.features());
-        assert_eq!(inputs.cols(), 3 * 8);
+        let cache = BodyOutputCache::new(&pool, split.test.features().clone());
+        assert_eq!(cache.head_inputs(fusing.model_indices()).cols(), 3 * 8);
         // Unanimous three-way agreement must pass through untouched.
         let preds = fusing.predict(&pool, split.test.features());
         let bodies: Vec<Vec<usize>> = (0..3)

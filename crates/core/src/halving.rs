@@ -8,8 +8,9 @@
 //! shrinks, so the total cost stays close to one full-budget sweep while
 //! many more candidates get screened.
 
-use crate::{EpisodeRecord, HeadTrainConfig, MuffinError, MuffinSearch, SearchOutcome};
+use crate::{EpisodeRecord, MuffinError, MuffinSearch, SearchOutcome};
 use muffin_tensor::Rng64;
+use muffin_trace::Tracer;
 
 /// Configuration of a successive-halving run.
 #[derive(Debug, Clone, Copy)]
@@ -116,77 +117,6 @@ pub fn promote(rewards: &[f32], keep_fraction: f32) -> Vec<usize> {
     ranked
 }
 
-/// Trains and evaluates one action vector with an explicit head-epoch
-/// budget, bypassing the search loop's cache. When `tag_epochs` is set
-/// the head description carries an `@{epochs}ep` suffix marking a
-/// reduced-budget screen.
-pub(crate) fn evaluate_at_epochs(
-    search: &MuffinSearch,
-    actions: &[usize],
-    head_seed: u64,
-    epochs: u32,
-    episode: u32,
-    tag_epochs: bool,
-) -> Result<EpisodeRecord, MuffinError> {
-    let space = search.space();
-    let candidate = space.decode(actions)?;
-    let target_names: Vec<&str> = search
-        .config()
-        .target_attributes
-        .iter()
-        .map(String::as_str)
-        .collect();
-    let head = HeadTrainConfig {
-        epochs,
-        ..search.config().head.clone()
-    };
-    let mut head_rng = Rng64::seed(head_seed);
-    let mut fusing = crate::FusingStructure::new(
-        candidate.model_indices.clone(),
-        candidate.head.clone(),
-        search.pool(),
-        &mut head_rng,
-    )?;
-    fusing.train_head(
-        search.pool(),
-        &search.split().train,
-        search.proxy(),
-        &head,
-        &mut head_rng,
-    );
-    let eval = fusing.evaluate(search.pool(), &search.split().val);
-    let reward = search
-        .config()
-        .reward_kind
-        .evaluate(&eval, &target_names, search.config().reward);
-    let head_desc = if tag_epochs {
-        format!("{} @{epochs}ep", candidate.head)
-    } else {
-        candidate.head.to_string()
-    };
-    Ok(EpisodeRecord {
-        episode,
-        actions: actions.to_vec(),
-        model_names: candidate
-            .model_indices
-            .iter()
-            .filter_map(|&i| search.pool().get(i))
-            .map(|m| m.name().to_string())
-            .collect(),
-        head_desc,
-        accuracy: eval.accuracy,
-        unfairness: target_names
-            .iter()
-            .map(|n| eval.attribute(n).map_or(f32::NAN, |a| a.unfairness))
-            .collect(),
-        reward,
-        head_params: fusing.head_param_count(),
-        total_params: fusing.total_reported_params(search.pool()),
-        head_seed,
-        first_seen: episode,
-    })
-}
-
 /// Runs successive halving over `search`'s candidate space and returns the
 /// survivors' final-rung evaluations as a [`SearchOutcome`] (one record
 /// per candidate-evaluation, across all rungs).
@@ -201,8 +131,8 @@ pub fn successive_halving(
     rng: &mut Rng64,
 ) -> Result<SearchOutcome, MuffinError> {
     config.validate()?;
-    let space = search.space();
-    let sizes = space.step_sizes();
+    let sizes = search.space().step_sizes();
+    let bodies = search.bodies(&search.split().val);
 
     // Rung 0 population: distinct random action vectors.
     let mut population: Vec<Vec<usize>> = Vec::new();
@@ -227,7 +157,14 @@ pub fn successive_halving(
         for actions in &population {
             let head_seed = (rung as u64) << 48 ^ rng.uniform(0.0, 1.0).to_bits() as u64;
             // Rung-specific head budget.
-            let record = evaluate_at_epochs(search, actions, head_seed, epochs, episode, true)?;
+            let record = search.evaluate_record(
+                &bodies,
+                actions,
+                head_seed,
+                Some(epochs),
+                episode,
+                &Tracer::noop(),
+            )?;
             let reward = record.reward;
             if reward > best_reward {
                 best_reward = reward;

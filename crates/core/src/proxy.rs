@@ -1,5 +1,6 @@
-use crate::{MuffinError, PrivilegeMap};
+use crate::{BodyOutputCache, MuffinError, PrivilegeMap};
 use muffin_data::{AttributeId, Dataset};
+use muffin_models::ModelPool;
 
 /// The fairness proxy dataset (paper component ② and Algorithm 1).
 ///
@@ -201,6 +202,18 @@ impl ProxyDataset {
     /// Per-proxy-sample training weights, aligned with [`Self::indices`].
     pub fn weights(&self) -> &[f32] {
         &self.weights
+    }
+
+    /// What muffin-head training reads: a body-output cache over the proxy
+    /// rows of `source`, and those rows' labels.
+    pub(crate) fn bodies<'p>(
+        &self,
+        pool: &'p ModelPool,
+        source: &Dataset,
+    ) -> (BodyOutputCache<'p>, Vec<usize>) {
+        let labels = self.indices.iter().map(|&i| source.labels()[i]).collect();
+        let features = source.features().select_rows(&self.indices);
+        (BodyOutputCache::new(pool, features), labels)
     }
 
     /// Algorithm 1's per-group weights as `(attribute, group, weight)`.

@@ -41,14 +41,8 @@ pub fn random_search(
     let tracer = search.tracer();
     let mut run_span = tracer.span("search.random");
     run_span.field("episodes", search.config().episodes as usize);
-    let space = search.space();
-    let sizes = space.step_sizes();
-    let target_names: Vec<&str> = search
-        .config()
-        .target_attributes
-        .iter()
-        .map(String::as_str)
-        .collect();
+    let sizes = search.space().step_sizes();
+    let bodies = search.bodies(&search.split().val);
     let mut cache: HashMap<Vec<usize>, EpisodeRecord> = HashMap::new();
     let mut history = Vec::with_capacity(search.config().episodes as usize);
     let mut best_idx = 0usize;
@@ -63,41 +57,9 @@ pub fn random_search(
             r
         } else {
             tracer.count("search.cache_miss", 1);
-            let candidate = space.decode(&actions)?;
             let head_seed = rng.uniform(0.0, 1.0).to_bits() as u64 ^ (episode as u64) << 32;
-            let (fusing, eval) = search.evaluate_candidate_traced(
-                &candidate,
-                &search.split().val,
-                head_seed,
-                tracer,
-            )?;
-            let reward =
-                search
-                    .config()
-                    .reward_kind
-                    .evaluate(&eval, &target_names, search.config().reward);
-            let unfairness = target_names
-                .iter()
-                .map(|n| eval.attribute(n).map_or(f32::NAN, |a| a.unfairness))
-                .collect();
-            let record = EpisodeRecord {
-                episode,
-                actions: actions.clone(),
-                model_names: candidate
-                    .model_indices
-                    .iter()
-                    .filter_map(|&i| search.pool().get(i))
-                    .map(|m| m.name().to_string())
-                    .collect(),
-                head_desc: candidate.head.to_string(),
-                accuracy: eval.accuracy,
-                unfairness,
-                reward,
-                head_params: fusing.head_param_count(),
-                total_params: fusing.total_reported_params(search.pool()),
-                head_seed,
-                first_seen: episode,
-            };
+            let record =
+                search.evaluate_record(&bodies, &actions, head_seed, None, episode, tracer)?;
             cache.insert(actions, record.clone());
             record
         };

@@ -2,11 +2,12 @@ use crate::checkpoint::{
     EvalCacheFile, PersistenceOptions, SearchCheckpoint, SearchFingerprint, CHECKPOINT_VERSION,
 };
 use crate::{
-    Candidate, ControllerConfig, FusingStructure, HeadTrainConfig, MuffinError, PrivilegeMap,
-    ProxyDataset, RewardConfig, RewardKind, RnnController, SearchSpace,
+    BodyOutputCache, Candidate, ControllerConfig, FusingStructure, HeadTrainConfig, MuffinError,
+    PrivilegeMap, ProxyDataset, RewardConfig, RewardKind, RnnController, SampledEpisode,
+    SearchSpace,
 };
-use muffin_data::{Dataset, DatasetSplit};
-use muffin_models::{fnv1a64, ModelPool, PoolRelation};
+use muffin_data::{AttributeId, Dataset, DatasetSplit};
+use muffin_models::{fnv1a64, ModelEvaluation, ModelPool, PoolRelation};
 use muffin_par::WorkerPool;
 use muffin_tensor::{Rng64, SplitMix64};
 use muffin_trace::{Field, Tracer};
@@ -313,20 +314,112 @@ pub struct MuffinSearch {
     pool: ModelPool,
     split: DatasetSplit,
     config: SearchConfig,
+    space: SearchSpace,
     privilege: PrivilegeMap,
     proxy: ProxyDataset,
     tracer: Tracer,
-    body_cache: bool,
 }
 
-/// The per-run [`BodyOutputCache`]s a search shares across all candidate
-/// evaluations: one over the proxy subset of the training features (head
-/// training inputs) and one over the validation features (candidate
-/// evaluation), plus the proxy labels both paths need.
-struct RunBodyCaches<'p> {
-    proxy: crate::BodyOutputCache<'p>,
-    val: crate::BodyOutputCache<'p>,
+/// The frozen-body outputs one search shares across all its candidate
+/// evaluations: the head-training inputs over the proxy rows of the
+/// training split (with their labels) and the dataset candidates are
+/// scored on. Each (model × split) forward runs once, on first access,
+/// however many candidates and workers read it.
+pub(crate) struct SearchBodies<'s> {
+    proxy: BodyOutputCache<'s>,
     proxy_labels: Vec<usize>,
+    scored_on: &'s Dataset,
+    scored: BodyOutputCache<'s>,
+}
+
+/// The REINFORCE loop's state between batches: what a checkpoint stores,
+/// plus the run-local bookkeeping a resume rebuilds from it.
+struct LoopState {
+    controller: RnnController,
+    /// Seed of the per-episode head-seed stream.
+    seed_stream_seed: u64,
+    /// Every episode's head seed, pre-derived from `seed_stream_seed`.
+    head_seeds: Vec<u64>,
+    /// Episodes completed.
+    episode: u32,
+    history: Vec<EpisodeRecord>,
+    /// Evaluated candidates by action vector.
+    cache: HashMap<Vec<usize>, EpisodeRecord>,
+    /// Action vectors whose records were loaded from the eval-cache file.
+    disk_origin: HashSet<Vec<usize>>,
+    /// Round-tripped verbatim into every checkpoint this run writes: the
+    /// sharded supervisor owns this counter, the search loop only
+    /// preserves it across a resume.
+    exchanges_applied: u32,
+    best_idx: usize,
+    best_reward: f32,
+    /// Episode of the last checkpoint written (or resumed from).
+    last_checkpoint: u32,
+    /// Body-cache `(hits, misses)` already reported to the tracer.
+    body_accesses: (u64, u64),
+}
+
+impl LoopState {
+    /// The evaluated candidates, sorted by action vector.
+    fn cache_records(&self) -> Vec<EpisodeRecord> {
+        let mut records: Vec<EpisodeRecord> = self.cache.values().cloned().collect();
+        records.sort_by(|a, b| a.actions.cmp(&b.actions));
+        records
+    }
+}
+
+/// Checks `config` against `pool` and `split` — the one validation both
+/// constructors share — returning the controller's search space and the
+/// target attributes' ids.
+fn validate(
+    pool: &ModelPool,
+    split: &DatasetSplit,
+    config: &SearchConfig,
+) -> Result<(SearchSpace, Vec<AttributeId>), MuffinError> {
+    if pool.is_empty() {
+        return Err(MuffinError::EmptyPool);
+    }
+    if config.episodes == 0 {
+        return Err(MuffinError::InvalidConfig(
+            "episodes must be positive".into(),
+        ));
+    }
+    if config.reinforce_batch == 0 {
+        return Err(MuffinError::InvalidConfig(
+            "reinforce_batch must be positive".into(),
+        ));
+    }
+    if let Some(&bad) = config.required_models.iter().find(|&&i| i >= pool.len()) {
+        return Err(MuffinError::InvalidConfig(format!(
+            "required model {bad} out of range for pool of {}",
+            pool.len()
+        )));
+    }
+    let space = match &config.space {
+        Some(space) if space.pool_size() != pool.len() => {
+            return Err(MuffinError::InvalidConfig(format!(
+                "config.space is over a pool of {}, actual pool has {}",
+                space.pool_size(),
+                pool.len()
+            )))
+        }
+        Some(space) => space.clone(),
+        None => SearchSpace::paper_default(pool.len())
+            .with_slots(config.num_slots)?
+            .with_required_models(config.required_models.clone())?,
+    };
+    let attrs = config
+        .target_attributes
+        .iter()
+        .map(|name| {
+            split
+                .train
+                .schema()
+                .by_name(name)
+                .ok_or_else(|| MuffinError::UnknownAttribute(name.clone()))
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((space, attrs))
 }
 
 impl MuffinSearch {
@@ -335,64 +428,18 @@ impl MuffinSearch {
     ///
     /// # Errors
     ///
-    /// Returns an error if the pool is empty, an attribute name is
-    /// unknown, or no unprivileged samples exist.
+    /// Returns an error if the pool is empty, the episode budget, the
+    /// REINFORCE batch or the number of body slots is zero, a required
+    /// model is out of range, an attribute name is unknown, or no
+    /// unprivileged samples exist.
     pub fn new(
         pool: ModelPool,
         split: DatasetSplit,
         config: SearchConfig,
     ) -> Result<Self, MuffinError> {
-        if pool.is_empty() {
-            return Err(MuffinError::EmptyPool);
-        }
-        if config.episodes == 0 {
-            return Err(MuffinError::InvalidConfig(
-                "episodes must be positive".into(),
-            ));
-        }
-        if config.reinforce_batch == 0 {
-            return Err(MuffinError::InvalidConfig(
-                "reinforce_batch must be positive".into(),
-            ));
-        }
-        if let Some(&bad) = config.required_models.iter().find(|&&i| i >= pool.len()) {
-            return Err(MuffinError::InvalidConfig(format!(
-                "required model {bad} out of range for pool of {}",
-                pool.len()
-            )));
-        }
-        if let Some(space) = &config.space {
-            if space.pool_size() != pool.len() {
-                return Err(MuffinError::InvalidConfig(format!(
-                    "config.space is over a pool of {}, actual pool has {}",
-                    space.pool_size(),
-                    pool.len()
-                )));
-            }
-        }
-        let attrs: Result<Vec<_>, _> = config
-            .target_attributes
-            .iter()
-            .map(|name| {
-                split
-                    .train
-                    .schema()
-                    .by_name(name)
-                    .ok_or_else(|| MuffinError::UnknownAttribute(name.clone()))
-            })
-            .collect();
-        let attrs = attrs?;
+        let (_, attrs) = validate(&pool, &split, &config)?;
         let privilege = PrivilegeMap::infer(&pool, &split.val, &attrs, config.privilege_margin);
-        let proxy = ProxyDataset::build(&split.train, &privilege)?;
-        Ok(Self {
-            pool,
-            split,
-            config,
-            privilege,
-            proxy,
-            tracer: Tracer::noop(),
-            body_cache: true,
-        })
+        Self::with_privilege(pool, split, config, privilege)
     }
 
     /// Prepares a search with an explicitly provided privilege map
@@ -407,18 +454,16 @@ impl MuffinSearch {
         config: SearchConfig,
         privilege: PrivilegeMap,
     ) -> Result<Self, MuffinError> {
-        if pool.is_empty() {
-            return Err(MuffinError::EmptyPool);
-        }
+        let (space, _) = validate(&pool, &split, &config)?;
         let proxy = ProxyDataset::build(&split.train, &privilege)?;
         Ok(Self {
             pool,
             split,
             config,
+            space,
             privilege,
             proxy,
             tracer: Tracer::noop(),
-            body_cache: true,
         })
     }
 
@@ -437,27 +482,6 @@ impl MuffinSearch {
     /// [`MuffinSearch::with_tracer`] was used).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// Enables or disables the per-run [`crate::BodyOutputCache`]
-    /// (default: enabled).
-    ///
-    /// With the cache on, each frozen body model runs its forward pass
-    /// over the proxy and validation features **once per run** instead of
-    /// once per candidate, and per-batch `fusing.body_cache_hit` /
-    /// `fusing.body_cache_miss` counters are recorded. The
-    /// [`SearchOutcome`] is bit-identical either way (enforced by the
-    /// body-cache equivalence suite), so disabling it is only useful for
-    /// A/B benchmarking. Deliberately **not** part of [`SearchConfig`]:
-    /// checkpoint fingerprints must not depend on a pure optimisation.
-    pub fn with_body_cache(mut self, enabled: bool) -> Self {
-        self.body_cache = enabled;
-        self
-    }
-
-    /// Whether the per-run body-output cache is enabled.
-    pub fn body_cache(&self) -> bool {
-        self.body_cache
     }
 
     /// The model pool being searched over.
@@ -485,79 +509,134 @@ impl MuffinSearch {
         &self.config
     }
 
+    /// The controller search space for this pool and configuration: the
+    /// explicit [`SearchConfig::space`] override when set, else the paper
+    /// default shaped by `num_slots`/`required_models`. Built and checked
+    /// by the constructor.
+    pub fn space(&self) -> SearchSpace {
+        self.space.clone()
+    }
+
+    /// The body-output caches for one search scoring candidates on
+    /// `scored_on`.
+    pub(crate) fn bodies<'s>(&'s self, scored_on: &'s Dataset) -> SearchBodies<'s> {
+        let (proxy, proxy_labels) = self.proxy.bodies(&self.pool, &self.split.train);
+        SearchBodies {
+            proxy,
+            proxy_labels,
+            scored_on,
+            scored: BodyOutputCache::borrowing(&self.pool, scored_on.features()),
+        }
+    }
+
+    /// Trains `candidate`'s head from `head_seed` on the proxy inputs in
+    /// `bodies` and scores the structure on `bodies`' dataset. A pure
+    /// function of (candidate, head budget, head seed).
+    fn train_and_score(
+        &self,
+        candidate: &Candidate,
+        bodies: &SearchBodies<'_>,
+        head: &HeadTrainConfig,
+        head_seed: u64,
+        tracer: &Tracer,
+    ) -> Result<(FusingStructure, ModelEvaluation), MuffinError> {
+        let mut head_rng = Rng64::seed(head_seed);
+        let mut fusing = FusingStructure::new(
+            candidate.model_indices.clone(),
+            candidate.head.clone(),
+            &self.pool,
+            &mut head_rng,
+        )?;
+        fusing.train_head_on_inputs(
+            &bodies.proxy.head_inputs(&candidate.model_indices),
+            &bodies.proxy_labels,
+            self.proxy.weights(),
+            head,
+            &mut head_rng,
+            tracer,
+        );
+        let eval = fusing.evaluate_cached(&self.pool, &bodies.scored, bodies.scored_on, tracer);
+        Ok((fusing, eval))
+    }
+
+    /// The candidate evaluation every search strategy runs: decodes
+    /// `actions`, trains and scores the candidate
+    /// ([`MuffinSearch::train_and_score`]) and records it as first seen at
+    /// `episode`.
+    ///
+    /// `epochs` overrides the head-training budget for a reduced-budget
+    /// screen; the record's head description then carries an
+    /// `@{epochs}ep` tag.
+    pub(crate) fn evaluate_record(
+        &self,
+        bodies: &SearchBodies<'_>,
+        actions: &[usize],
+        head_seed: u64,
+        epochs: Option<u32>,
+        episode: u32,
+        tracer: &Tracer,
+    ) -> Result<EpisodeRecord, MuffinError> {
+        let candidate = self.space.decode(actions)?;
+        let head = HeadTrainConfig {
+            epochs: epochs.unwrap_or(self.config.head.epochs),
+            ..self.config.head.clone()
+        };
+        let (fusing, eval) = self.train_and_score(&candidate, bodies, &head, head_seed, tracer)?;
+        let targets: Vec<&str> = self
+            .config
+            .target_attributes
+            .iter()
+            .map(String::as_str)
+            .collect();
+        Ok(EpisodeRecord {
+            episode,
+            actions: actions.to_vec(),
+            model_names: candidate
+                .model_indices
+                .iter()
+                .filter_map(|&i| self.pool.get(i))
+                .map(|m| m.name().to_string())
+                .collect(),
+            head_desc: match epochs {
+                Some(epochs) => format!("{} @{epochs}ep", candidate.head),
+                None => candidate.head.to_string(),
+            },
+            accuracy: eval.accuracy,
+            unfairness: targets
+                .iter()
+                .map(|n| eval.attribute(n).map_or(f32::NAN, |a| a.unfairness))
+                .collect(),
+            reward: self
+                .config
+                .reward_kind
+                .evaluate(&eval, &targets, self.config.reward),
+            head_params: fusing.head_param_count(),
+            total_params: fusing.total_reported_params(&self.pool),
+            head_seed,
+            first_seen: episode,
+        })
+    }
+
     /// Trains and evaluates one candidate on a dataset, returning the
     /// trained structure and its evaluation. Deterministic in `head_seed`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates candidate-construction errors.
     pub fn evaluate_candidate(
         &self,
         candidate: &Candidate,
         eval_on: &Dataset,
         head_seed: u64,
-    ) -> Result<(FusingStructure, muffin_models::ModelEvaluation), MuffinError> {
-        self.evaluate_candidate_traced(candidate, eval_on, head_seed, &Tracer::noop())
-    }
-
-    /// Like [`MuffinSearch::evaluate_candidate`], recording head-training
-    /// spans and prediction latency into `tracer`. Used by the search loop
-    /// with per-job [`Tracer::fork`]s so concurrent evaluations keep a
-    /// deterministic event order.
-    pub fn evaluate_candidate_traced(
-        &self,
-        candidate: &Candidate,
-        eval_on: &Dataset,
-        head_seed: u64,
-        tracer: &Tracer,
-    ) -> Result<(FusingStructure, muffin_models::ModelEvaluation), MuffinError> {
-        let mut head_rng = Rng64::seed(head_seed);
-        let mut fusing = FusingStructure::new(
-            candidate.model_indices.clone(),
-            candidate.head.clone(),
-            &self.pool,
-            &mut head_rng,
-        )?;
-        fusing.train_head_traced(
-            &self.pool,
-            &self.split.train,
-            &self.proxy,
+    ) -> Result<(FusingStructure, ModelEvaluation), MuffinError> {
+        let bodies = self.bodies(eval_on);
+        self.train_and_score(
+            candidate,
+            &bodies,
             &self.config.head,
-            &mut head_rng,
-            tracer,
-        );
-        let eval = fusing.evaluate_traced(&self.pool, eval_on, tracer);
-        Ok((fusing, eval))
-    }
-
-    /// Like [`MuffinSearch::evaluate_candidate_traced`] but with all body
-    /// forward passes served from the run's shared [`crate::BodyOutputCache`]s.
-    ///
-    /// Draws from the head RNG in exactly the same order as the uncached
-    /// path (seed → head init → training), so the trained structure and
-    /// its evaluation are bit-identical.
-    fn evaluate_candidate_cached(
-        &self,
-        candidate: &Candidate,
-        caches: &RunBodyCaches<'_>,
-        eval_on: &Dataset,
-        head_seed: u64,
-        tracer: &Tracer,
-    ) -> Result<(FusingStructure, muffin_models::ModelEvaluation), MuffinError> {
-        let mut head_rng = Rng64::seed(head_seed);
-        let mut fusing = FusingStructure::new(
-            candidate.model_indices.clone(),
-            candidate.head.clone(),
-            &self.pool,
-            &mut head_rng,
-        )?;
-        let inputs = caches.proxy.head_inputs(&candidate.model_indices);
-        fusing.train_head_on_inputs_traced(
-            &inputs,
-            &caches.proxy_labels,
-            self.proxy.weights(),
-            &self.config.head,
-            &mut head_rng,
-            tracer,
-        );
-        let eval = fusing.evaluate_cached_traced(&self.pool, &caches.val, eval_on, tracer);
-        Ok((fusing, eval))
+            head_seed,
+            &Tracer::noop(),
+        )
     }
 
     /// Rebuilds the trained structure of a history record exactly.
@@ -566,24 +645,9 @@ impl MuffinSearch {
     ///
     /// Propagates candidate-construction errors.
     pub fn rebuild(&self, record: &EpisodeRecord) -> Result<FusingStructure, MuffinError> {
-        let space = self.space();
-        let candidate = space.decode(&record.actions)?;
+        let candidate = self.space.decode(&record.actions)?;
         let (fusing, _) = self.evaluate_candidate(&candidate, &self.split.val, record.head_seed)?;
         Ok(fusing)
-    }
-
-    /// The controller search space for this pool and configuration: the
-    /// explicit [`SearchConfig::space`] override when set, else the paper
-    /// default shaped by `num_slots`/`required_models`.
-    pub fn space(&self) -> SearchSpace {
-        if let Some(space) = &self.config.space {
-            return space.clone();
-        }
-        SearchSpace::paper_default(self.pool.len())
-            .with_slots(self.config.num_slots)
-            .expect("validated num_slots")
-            .with_required_models(self.config.required_models.clone())
-            .expect("validated required models")
     }
 
     /// Runs the reinforcement-learning loop serially and returns the
@@ -597,20 +661,6 @@ impl MuffinSearch {
     /// a user error, since sampled actions are always in range).
     pub fn run(&self, rng: &mut Rng64) -> Result<SearchOutcome, MuffinError> {
         self.run_with_pool(rng, &WorkerPool::serial())
-    }
-
-    /// Runs the search with candidate evaluations fanned out over
-    /// `workers` threads. See [`MuffinSearch::run_with_pool`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MuffinSearch::run`].
-    pub fn run_parallel(
-        &self,
-        rng: &mut Rng64,
-        workers: usize,
-    ) -> Result<SearchOutcome, MuffinError> {
-        self.run_with_pool(rng, &WorkerPool::new(workers))
     }
 
     /// Runs the reinforcement-learning loop, evaluating each REINFORCE
@@ -650,11 +700,11 @@ impl MuffinSearch {
     /// Builds the staleness fingerprint of a run starting from the given
     /// caller-RNG state: the exact identity a checkpoint or evaluation
     /// cache must carry to be replayed into this search.
-    fn fingerprint(&self, rng_state: [u64; 4], space: &SearchSpace) -> SearchFingerprint {
+    fn fingerprint(&self, rng_state: [u64; 4]) -> SearchFingerprint {
         SearchFingerprint::new(
             rng_state,
             &self.config,
-            space,
+            &self.space,
             &muffin_json::to_string(&self.pool),
             self.pool.manifest(),
             &muffin_json::to_string(&self.split),
@@ -678,6 +728,10 @@ impl MuffinSearch {
     ///   `halt_after`, writing a checkpoint and returning
     ///   [`MuffinError::Halted`] (deterministic kill simulation for
     ///   tests and operator drills).
+    ///
+    /// The run restores its loop state (fresh, or from the checkpoint and
+    /// eval cache), then alternates one REINFORCE batch with a checkpoint
+    /// when one is due, and finally rewrites the eval cache.
     ///
     /// Checkpoints are only taken at batch boundaries because the policy
     /// update schedule is part of the trajectory: resuming mid-batch
@@ -711,149 +765,87 @@ impl MuffinSearch {
                 "halt_after requires a checkpoint path".into(),
             ));
         }
-        let space = self.space();
         // Serialising the pool and split for hashing is not free; skip it
         // entirely for plain in-memory runs.
         let fingerprint = (opts.checkpoint.is_some() || opts.eval_cache.is_some())
-            .then(|| self.fingerprint(rng.state(), &space));
+            .then(|| self.fingerprint(rng.state()));
 
-        let tracer = &self.tracer;
-        let mut run_span = tracer.span("search.run");
+        let mut run_span = self.tracer.span("search.run");
         run_span.field("episodes", self.config.episodes as usize);
         run_span.field("slots", self.config.num_slots);
         run_span.field("pool_models", self.pool.len());
         run_span.field("reinforce_batch", self.config.reinforce_batch);
+        let mut state = self.restore(rng, opts, fingerprint.as_ref())?;
+        let bodies = self.bodies(&self.split.val);
+        while state.episode < self.config.episodes {
+            self.step_batch(&mut state, rng, pool, &bodies)?;
+            let halting = opts
+                .halt_after
+                .is_some_and(|h| state.episode >= h && state.episode < self.config.episodes);
+            if let (Some(path), Some(fp)) = (&opts.checkpoint, &fingerprint) {
+                self.checkpoint(&mut state, rng, opts, path, fp, halting)?;
+            }
+            if halting {
+                self.write_eval_cache(opts, fingerprint.as_ref(), &state)?;
+                run_span.finish();
+                return Err(MuffinError::Halted {
+                    episode: state.episode,
+                });
+            }
+        }
+        run_span.finish();
+        self.write_eval_cache(opts, fingerprint.as_ref(), &state)?;
+
+        Ok(SearchOutcome {
+            history: state.history,
+            best_by_reward: state.best_idx,
+            target_attributes: self.config.target_attributes.clone(),
+        })
+    }
+
+    /// Builds the loop state a run starts from: a fresh controller and
+    /// head-seed stream drawn from the caller's RNG, or — on resume — the
+    /// checkpoint's, plus any records warm-loaded from the eval cache.
+    fn restore(
+        &self,
+        rng: &mut Rng64,
+        opts: &PersistenceOptions,
+        fingerprint: Option<&SearchFingerprint>,
+    ) -> Result<LoopState, MuffinError> {
         // The controller always consumes the caller's RNG first, resumed
         // or not: on resume both its parameters and the RNG are then
         // overwritten from the checkpoint, so construction order stays a
         // frozen part of the stream contract.
-        let mut controller = RnnController::new(space.clone(), self.config.controller, rng);
-        let target_names: Vec<&str> = self
-            .config
-            .target_attributes
-            .iter()
-            .map(String::as_str)
-            .collect();
-
-        let mut cache: HashMap<Vec<usize>, EpisodeRecord> = HashMap::new();
-        let mut disk_origin: HashSet<Vec<usize>> = HashSet::new();
-        let seed_stream_seed: u64;
-        let mut history: Vec<EpisodeRecord>;
-        let mut episode: u32;
-        // Round-tripped verbatim into every checkpoint this run writes:
-        // the sharded supervisor owns this counter, the search loop only
-        // preserves it across a resume.
-        let mut exchanges_applied = 0u32;
+        let controller = RnnController::new(self.space.clone(), self.config.controller, rng);
+        let mut state = LoopState {
+            controller,
+            seed_stream_seed: 0,
+            head_seeds: Vec::new(),
+            episode: 0,
+            history: Vec::new(),
+            cache: HashMap::new(),
+            disk_origin: HashSet::new(),
+            exchanges_applied: 0,
+            best_idx: 0,
+            best_reward: f32::MIN,
+            last_checkpoint: 0,
+            body_accesses: (0, 0),
+        };
         let mut pool_grew = false;
         if opts.resume {
-            let path = opts.checkpoint.as_ref().expect("validated above");
-            let fp = fingerprint.as_ref().expect("checkpoint path set");
-            let (ckpt, relation) = SearchCheckpoint::load_for_resume(path, fp)?;
-            if ckpt.episode > self.config.episodes {
-                return Err(MuffinError::StaleArtifact(format!(
-                    "checkpoint {} already covers {} episodes, more than the requested {}",
-                    path.display(),
-                    ckpt.episode,
-                    self.config.episodes
-                )));
-            }
-            // A checkpoint ending mid-batch (the final snapshot of a
-            // finished run whose last batch was partial) can only stand
-            // in for a run with that same episode budget.
-            let on_boundary = ckpt.episode % self.config.reinforce_batch as u32 == 0;
-            if !on_boundary && ckpt.episode != self.config.episodes {
-                return Err(MuffinError::StaleArtifact(format!(
-                    "checkpoint {} ends mid-batch at episode {} (written by a {}-episode run); \
-                     it can only resume a run with that same episode budget",
-                    path.display(),
-                    ckpt.episode,
-                    ckpt.target_episodes
-                )));
-            }
-            match &relation {
-                PoolRelation::Identical => controller.import_state(ckpt.controller)?,
-                PoolRelation::Grew { added } => {
-                    // Warm start over the grown pool: rebuild the
-                    // controller for the new space from a deterministic
-                    // extension stream (so the new models' logits and
-                    // embedding rows are reproducible), then graft every
-                    // learned parameter and optimizer moment back in.
-                    let ext_seed =
-                        SplitMix64::new(ckpt.seed_stream_seed ^ fnv1a64(b"pool-extension"))
-                            .next_u64();
-                    controller = RnnController::new(
-                        space.clone(),
-                        self.config.controller,
-                        &mut Rng64::seed(ext_seed),
-                    );
-                    controller.import_extended(&ckpt.fingerprint.space, ckpt.controller)?;
-                    pool_grew = true;
-                    let names: Vec<String> =
-                        added.iter().map(ToString::to_string).collect();
-                    tracer.progress(|| {
-                        format!(
-                            "pool grew since checkpoint: warm-starting over {} added model(s): {}",
-                            names.len(),
-                            names.join(", ")
-                        )
-                    });
-                }
-                // load_for_resume never returns Changed.
-                PoolRelation::Changed { .. } => {
-                    return Err(MuffinError::StaleArtifact(
-                        "checkpoint pool relation must be identical or grown".into(),
-                    ))
-                }
-            }
-            *rng = Rng64::from_state(ckpt.rng_state);
-            seed_stream_seed = ckpt.seed_stream_seed;
-            episode = ckpt.episode;
-            history = ckpt.history;
-            exchanges_applied = ckpt.exchanges_applied;
-            for record in ckpt.cache {
-                cache.insert(record.actions.clone(), record);
-            }
-            tracer.progress(|| format!("resumed from {} at episode {episode}", path.display()));
+            let path = opts
+                .checkpoint
+                .as_ref()
+                .expect("validated by run_persistent");
+            let fp = fingerprint.expect("checkpoint path set");
+            pool_grew = self.resume_from(&mut state, rng, path, fp)?;
         } else {
-            seed_stream_seed = rng.next_u64();
-            episode = 0;
-            history = Vec::with_capacity(self.config.episodes as usize);
+            state.seed_stream_seed = rng.next_u64();
+            state.history = Vec::with_capacity(self.config.episodes as usize);
         }
-
         if let Some(path) = &opts.eval_cache {
-            let fp = fingerprint.as_ref().expect("eval cache path set");
-            let loaded = EvalCacheFile::load_warm(path, fp, opts.eval_cache_shared)?;
-            if let Some((mut file, relation)) = loaded {
-                if matches!(relation, PoolRelation::Grew { .. }) {
-                    // The cache predates the pool extension: translate
-                    // every record's chosen models through their content
-                    // ids into current pool indices (the identity map
-                    // under prefix growth, but keyed by id on principle).
-                    let dropped = file.rekey_records(space.num_slots(), &self.pool.manifest());
-                    if dropped > 0 {
-                        tracer.progress(|| {
-                            format!(
-                                "eval cache {}: dropped {dropped} record(s) naming models \
-                                 absent from the current pool",
-                                path.display()
-                            )
-                        });
-                    }
-                }
-                tracer.progress(|| {
-                    format!(
-                        "eval cache {}: {} record(s)",
-                        path.display(),
-                        file.records.len()
-                    )
-                });
-                for record in file.records {
-                    disk_origin.insert(record.actions.clone());
-                    // A resumed checkpoint's entry wins, though the two
-                    // are bit-identical whenever both exist.
-                    cache.entry(record.actions.clone()).or_insert(record);
-                }
-            }
+            let fp = fingerprint.expect("eval cache path set");
+            self.warm_from_eval_cache(&mut state, path, fp, opts.eval_cache_shared)?;
         }
 
         // After a pool extension, the cached records were re-keyed through
@@ -863,20 +855,21 @@ impl MuffinSearch {
         // (or a pool edit the fingerprint could not see) scrambled model
         // identity.
         if pool_grew {
-            let best = history
+            let best = state
+                .history
                 .iter()
                 .max_by(|a, b| a.reward.total_cmp(&b.reward));
             if let Some(best) = best {
-                match cache.get(&best.actions) {
+                match state.cache.get(&best.actions) {
                     Some(record) if record.model_names == best.model_names => {
                         // Served from cache, not re-evaluated; the disk
                         // counter keeps its meaning of "episodes answered
                         // by records loaded from --eval-cache".
-                        if disk_origin.contains(&best.actions) {
-                            tracer.count("search.cache_hit_disk", 1);
+                        if state.disk_origin.contains(&best.actions) {
+                            self.tracer.count("search.cache_hit_disk", 1);
                         }
                         let names = record.model_names.join(" + ");
-                        tracer.progress(|| {
+                        self.tracer.progress(|| {
                             format!("re-validated best candidate ({names}) from the eval cache")
                         });
                     }
@@ -895,245 +888,325 @@ impl MuffinSearch {
 
         // Per-episode head seeds, pre-derived so evaluation order (and the
         // cache hit pattern) can never perturb the controller's stream.
-        let mut seed_stream = SplitMix64::new(seed_stream_seed);
-        let head_seeds: Vec<u64> = (0..self.config.episodes)
+        let mut seed_stream = SplitMix64::new(state.seed_stream_seed);
+        state.head_seeds = (0..self.config.episodes)
             .map(|_| seed_stream.next_u64())
             .collect();
-
-        // Frozen-body outputs never change within a run: compute each
-        // (model × split) forward once, lazily, and share the results
-        // read-only across all candidate evaluations and workers.
-        let body_caches = self.body_cache.then(|| RunBodyCaches {
-            proxy: crate::BodyOutputCache::new(
-                &self.pool,
-                self.split
-                    .train
-                    .features()
-                    .select_rows(self.proxy.indices()),
-            ),
-            val: crate::BodyOutputCache::new(&self.pool, self.split.val.features().clone()),
-            proxy_labels: self
-                .proxy
-                .indices()
-                .iter()
-                .map(|&i| self.split.train.labels()[i])
-                .collect(),
-        });
-        let mut last_body_hits = 0u64;
-        let mut last_body_misses = 0u64;
-
         // Replay best-candidate tracking over the (possibly restored)
         // history; identical to having tracked it live.
-        let mut best_idx = 0usize;
-        let mut best_reward = f32::MIN;
-        for (i, record) in history.iter().enumerate() {
-            if record.reward > best_reward {
-                best_reward = record.reward;
-                best_idx = i;
+        for (i, record) in state.history.iter().enumerate() {
+            if record.reward > state.best_reward {
+                state.best_reward = record.reward;
+                state.best_idx = i;
             }
         }
+        state.last_checkpoint = state.episode;
+        Ok(state)
+    }
 
-        let mut last_checkpoint = episode;
-        while episode < self.config.episodes {
-            let mut batch_span = tracer.span("search.batch");
-            let batch_len =
-                (self.config.reinforce_batch as u32).min(self.config.episodes - episode) as usize;
-
-            // Phase 1: sample the whole batch under the frozen policy.
-            let sampled: Vec<crate::SampledEpisode> =
-                (0..batch_len).map(|_| controller.sample(rng)).collect();
-
-            // Phase 2: evaluate each distinct uncached action vector once,
-            // keyed to the episode of its first occurrence in this batch.
-            let mut jobs: Vec<(usize, Candidate, u64)> = Vec::new();
-            for (k, s) in sampled.iter().enumerate() {
-                let fresh = !cache.contains_key(&s.actions)
-                    && !jobs
-                        .iter()
-                        .any(|&(j, _, _)| sampled[j].actions == s.actions);
-                if fresh {
-                    let seed = head_seeds[episode as usize + k];
-                    jobs.push((k, space.decode(&s.actions)?, seed));
-                }
+    /// Loads the checkpoint at `path` into `state` and the caller's RNG,
+    /// warm-starting the controller when the pool grew since the
+    /// checkpoint. Returns whether it did.
+    fn resume_from(
+        &self,
+        state: &mut LoopState,
+        rng: &mut Rng64,
+        path: &std::path::Path,
+        fingerprint: &SearchFingerprint,
+    ) -> Result<bool, MuffinError> {
+        let (ckpt, relation) = SearchCheckpoint::load_for_resume(path, fingerprint)?;
+        if ckpt.episode > self.config.episodes {
+            return Err(MuffinError::StaleArtifact(format!(
+                "checkpoint {} already covers {} episodes, more than the requested {}",
+                path.display(),
+                ckpt.episode,
+                self.config.episodes
+            )));
+        }
+        // A checkpoint ending mid-batch (the final snapshot of a finished
+        // run whose last batch was partial) can only stand in for a run
+        // with that same episode budget.
+        let on_boundary = ckpt.episode % self.config.reinforce_batch as u32 == 0;
+        if !on_boundary && ckpt.episode != self.config.episodes {
+            return Err(MuffinError::StaleArtifact(format!(
+                "checkpoint {} ends mid-batch at episode {} (written by a {}-episode run); \
+                 it can only resume a run with that same episode budget",
+                path.display(),
+                ckpt.episode,
+                ckpt.target_episodes
+            )));
+        }
+        let pool_grew = match &relation {
+            PoolRelation::Identical => {
+                state.controller.import_state(ckpt.controller)?;
+                false
             }
-            batch_span.field("episodes", batch_len);
-            // Worker-queue occupancy: distinct uncached candidates handed
-            // to the pool this batch.
-            batch_span.field("jobs", jobs.len());
-            tracer.count("search.cache_miss", jobs.len() as u64);
-            tracer.count("search.cache_hit", (batch_len - jobs.len()) as u64);
-            // Episodes served by records loaded from --eval-cache. Only
-            // emitted when non-zero so cold runs keep their exact
-            // pre-persistence trace shape.
-            let disk_hits = sampled
-                .iter()
-                .filter(|s| disk_origin.contains(&s.actions))
-                .count() as u64;
-            if disk_hits > 0 {
-                tracer.count("search.cache_hit_disk", disk_hits);
+            PoolRelation::Grew { added } => {
+                // Warm start over the grown pool: rebuild the controller
+                // for the new space from a deterministic extension stream
+                // (so the new models' logits and embedding rows are
+                // reproducible), then graft every learned parameter and
+                // optimizer moment back in.
+                let ext_seed =
+                    SplitMix64::new(ckpt.seed_stream_seed ^ fnv1a64(b"pool-extension")).next_u64();
+                state.controller = RnnController::new(
+                    self.space.clone(),
+                    self.config.controller,
+                    &mut Rng64::seed(ext_seed),
+                );
+                state
+                    .controller
+                    .import_extended(&ckpt.fingerprint.space, ckpt.controller)?;
+                let names: Vec<String> = added.iter().map(ToString::to_string).collect();
+                self.tracer.progress(|| {
+                    format!(
+                        "pool grew since checkpoint: warm-starting over {} added model(s): {}",
+                        names.len(),
+                        names.join(", ")
+                    )
+                });
+                true
             }
+            // load_for_resume never returns Changed.
+            PoolRelation::Changed { .. } => {
+                return Err(MuffinError::StaleArtifact(
+                    "checkpoint pool relation must be identical or grown".into(),
+                ))
+            }
+        };
+        *rng = Rng64::from_state(ckpt.rng_state);
+        state.seed_stream_seed = ckpt.seed_stream_seed;
+        state.episode = ckpt.episode;
+        state.history = ckpt.history;
+        state.exchanges_applied = ckpt.exchanges_applied;
+        for record in ckpt.cache {
+            state.cache.insert(record.actions.clone(), record);
+        }
+        self.tracer.progress(|| {
+            format!(
+                "resumed from {} at episode {}",
+                path.display(),
+                ckpt.episode
+            )
+        });
+        Ok(pool_grew)
+    }
 
-            // Workers measure their own durations and record into per-job
-            // forks; the forks are absorbed below in job order, so the
-            // event log is identical for every worker count.
-            let forks: Vec<Tracer> = jobs.iter().map(|_| tracer.fork()).collect();
-            let evaluated = pool.map(&jobs, |idx, (_, candidate, seed)| {
-                let eval_start = Instant::now();
-                let result = match &body_caches {
-                    Some(caches) => self.evaluate_candidate_cached(
-                        candidate,
-                        caches,
-                        &self.split.val,
-                        *seed,
-                        &forks[idx],
-                    ),
-                    None => self.evaluate_candidate_traced(
-                        candidate,
-                        &self.split.val,
-                        *seed,
-                        &forks[idx],
-                    ),
-                };
-                (result, eval_start.elapsed())
-            });
-            // All evaluations are done (pool.map is a barrier), so the
-            // per-batch hit/miss deltas are deterministic at any worker
-            // count; emitted from this thread to keep the log shape fixed.
-            if let Some(caches) = &body_caches {
-                let hits = caches.proxy.hits() + caches.val.hits();
-                let misses = caches.proxy.misses() + caches.val.misses();
-                tracer.count("fusing.body_cache_hit", hits - last_body_hits);
-                tracer.count("fusing.body_cache_miss", misses - last_body_misses);
-                last_body_hits = hits;
-                last_body_misses = misses;
+    /// Adds the records of the cross-run eval cache at `path` (when it
+    /// exists and matches `fingerprint`) to `state`'s candidate cache,
+    /// re-keying them if the pool grew since they were written.
+    fn warm_from_eval_cache(
+        &self,
+        state: &mut LoopState,
+        path: &std::path::Path,
+        fingerprint: &SearchFingerprint,
+        shared: bool,
+    ) -> Result<(), MuffinError> {
+        let Some((mut file, relation)) = EvalCacheFile::load_warm(path, fingerprint, shared)?
+        else {
+            return Ok(());
+        };
+        if matches!(relation, PoolRelation::Grew { .. }) {
+            // The cache predates the pool extension: translate every
+            // record's chosen models through their content ids into
+            // current pool indices (the identity map under prefix growth,
+            // but keyed by id on principle).
+            let dropped = file.rekey_records(self.space.num_slots(), &self.pool.manifest());
+            if dropped > 0 {
+                self.tracer.progress(|| {
+                    format!(
+                        "eval cache {}: dropped {dropped} record(s) naming models \
+                         absent from the current pool",
+                        path.display()
+                    )
+                });
             }
-            let mut eval_time: HashMap<Vec<usize>, Duration> = HashMap::new();
-            for ((&(k, ref candidate, seed), (result, took)), fork) in
-                jobs.iter().zip(evaluated).zip(&forks)
+        }
+        self.tracer.progress(|| {
+            format!(
+                "eval cache {}: {} record(s)",
+                path.display(),
+                file.records.len()
+            )
+        });
+        for record in file.records {
+            state.disk_origin.insert(record.actions.clone());
+            // A resumed checkpoint's entry wins, though the two are
+            // bit-identical whenever both exist.
+            state.cache.entry(record.actions.clone()).or_insert(record);
+        }
+        Ok(())
+    }
+
+    /// Runs one REINFORCE batch: samples it under the frozen policy,
+    /// evaluates its distinct uncached candidates on `workers`, merges the
+    /// records in episode order and applies one policy update.
+    fn step_batch(
+        &self,
+        state: &mut LoopState,
+        rng: &mut Rng64,
+        workers: &WorkerPool,
+        bodies: &SearchBodies<'_>,
+    ) -> Result<(), MuffinError> {
+        let tracer = &self.tracer;
+        let mut batch_span = tracer.span("search.batch");
+        let batch_len =
+            (self.config.reinforce_batch as u32).min(self.config.episodes - state.episode) as usize;
+
+        // Phase 1: sample the whole batch under the frozen policy.
+        let sampled: Vec<SampledEpisode> = (0..batch_len)
+            .map(|_| state.controller.sample(rng))
+            .collect();
+
+        // Phase 2: evaluate each distinct uncached action vector once,
+        // keyed to the episode of its first occurrence in this batch.
+        let mut jobs: Vec<usize> = Vec::new();
+        for (k, s) in sampled.iter().enumerate() {
+            if !state.cache.contains_key(&s.actions)
+                && !jobs.iter().any(|&j| sampled[j].actions == s.actions)
             {
-                tracer.absorb(fork);
-                eval_time.insert(sampled[k].actions.clone(), took);
-                let (fusing, eval) = result?;
-                let first_seen = episode + k as u32;
-                let reward =
-                    self.config
-                        .reward_kind
-                        .evaluate(&eval, &target_names, self.config.reward);
-                let unfairness = target_names
-                    .iter()
-                    .map(|n| eval.attribute(n).map_or(f32::NAN, |a| a.unfairness))
-                    .collect();
-                let record = EpisodeRecord {
-                    episode: first_seen,
-                    actions: sampled[k].actions.clone(),
-                    model_names: candidate
-                        .model_indices
-                        .iter()
-                        .filter_map(|&i| self.pool.get(i))
-                        .map(|m| m.name().to_string())
-                        .collect(),
-                    head_desc: candidate.head.to_string(),
-                    accuracy: eval.accuracy,
-                    unfairness,
-                    reward,
-                    head_params: fusing.head_param_count(),
-                    total_params: fusing.total_reported_params(&self.pool),
-                    head_seed: seed,
-                    first_seen,
-                };
-                cache.insert(sampled[k].actions.clone(), record);
-            }
-
-            // Phase 3: merge records in episode order and update the
-            // policy once per batch (Eq. 4 with m = batch_len).
-            let mut pending: Vec<(crate::SampledEpisode, f32)> = Vec::with_capacity(batch_len);
-            for (k, s) in sampled.into_iter().enumerate() {
-                let mut record = cache
-                    .get(&s.actions)
-                    .expect("evaluated or cached above")
-                    .clone();
-                record.episode = episode + k as u32;
-                if record.reward > best_reward {
-                    best_reward = record.reward;
-                    best_idx = history.len();
-                }
-                if tracer.is_enabled() {
-                    let cached = record.first_seen != record.episode;
-                    let took = if cached {
-                        Duration::ZERO
-                    } else {
-                        eval_time.get(&s.actions).copied().unwrap_or(Duration::ZERO)
-                    };
-                    let mut fields = vec![
-                        Field::new("episode", record.episode as usize),
-                        Field::new("first_seen", record.first_seen as usize),
-                        Field::new("cached", i64::from(cached)),
-                        Field::new("reward", record.reward),
-                        Field::new("accuracy", record.accuracy),
-                    ];
-                    for (name, u) in target_names.iter().zip(&record.unfairness) {
-                        fields.push(Field::new(format!("U_{name}"), *u));
-                    }
-                    tracer.record_span("search.episode", fields, took);
-                }
-                pending.push((s, record.reward));
-                history.push(record);
-            }
-            controller.update_batch(&pending);
-            episode += batch_len as u32;
-            batch_span.finish();
-            tracer.progress(|| {
-                format!(
-                    "episode {episode}/{}: {} new evaluation(s), best reward {best_reward:.3}",
-                    self.config.episodes,
-                    jobs.len(),
-                )
-            });
-
-            // The batch boundary is the only point the whole loop state
-            // is summarised by (rng, controller, history, cache) — the
-            // only point a checkpoint can resume from without drift.
-            let halting = opts
-                .halt_after
-                .is_some_and(|h| episode >= h && episode < self.config.episodes);
-            if let (Some(path), Some(fp)) = (&opts.checkpoint, &fingerprint) {
-                let due = episode - last_checkpoint >= opts.checkpoint_every
-                    || episode == self.config.episodes
-                    || halting;
-                if due {
-                    let mut cache_records: Vec<EpisodeRecord> = cache.values().cloned().collect();
-                    cache_records.sort_by(|a, b| a.actions.cmp(&b.actions));
-                    let ckpt = SearchCheckpoint {
-                        version: CHECKPOINT_VERSION,
-                        fingerprint: fp.clone(),
-                        target_episodes: self.config.episodes,
-                        episode,
-                        rng_state: rng.state(),
-                        seed_stream_seed,
-                        controller: controller.export_state(),
-                        history: history.clone(),
-                        cache: cache_records,
-                        exchanges_applied,
-                    };
-                    ckpt.save(path)?;
-                    last_checkpoint = episode;
-                    tracer.count("search.checkpoint_write", 1);
-                }
-            }
-            if halting {
-                self.write_eval_cache(opts, &fingerprint, &cache)?;
-                run_span.finish();
-                return Err(MuffinError::Halted { episode });
+                jobs.push(k);
             }
         }
-        run_span.finish();
-        self.write_eval_cache(opts, &fingerprint, &cache)?;
+        batch_span.field("episodes", batch_len);
+        // Worker-queue occupancy: distinct uncached candidates handed to
+        // the pool this batch.
+        batch_span.field("jobs", jobs.len());
+        tracer.count("search.cache_miss", jobs.len() as u64);
+        tracer.count("search.cache_hit", (batch_len - jobs.len()) as u64);
+        // Episodes served by records loaded from --eval-cache. Only
+        // emitted when non-zero so cold runs keep their exact
+        // pre-persistence trace shape.
+        let disk_hits = sampled
+            .iter()
+            .filter(|s| state.disk_origin.contains(&s.actions))
+            .count() as u64;
+        if disk_hits > 0 {
+            tracer.count("search.cache_hit_disk", disk_hits);
+        }
 
-        Ok(SearchOutcome {
-            history,
-            best_by_reward: best_idx,
-            target_attributes: self.config.target_attributes.clone(),
-        })
+        // Workers measure their own durations and record into per-job
+        // forks; the forks are absorbed below in job order, so the event
+        // log is identical for every worker count.
+        let forks: Vec<Tracer> = jobs.iter().map(|_| tracer.fork()).collect();
+        let (episode, head_seeds) = (state.episode, &state.head_seeds);
+        let evaluated = workers.map(&jobs, |idx, &k| {
+            let eval_start = Instant::now();
+            let first_seen = episode + k as u32;
+            let result = self.evaluate_record(
+                bodies,
+                &sampled[k].actions,
+                head_seeds[first_seen as usize],
+                None,
+                first_seen,
+                &forks[idx],
+            );
+            (result, eval_start.elapsed())
+        });
+        // All evaluations are done (workers.map is a barrier), so the
+        // per-batch hit/miss deltas are deterministic at any worker count;
+        // emitted from this thread to keep the log shape fixed.
+        let hits = bodies.proxy.hits() + bodies.scored.hits();
+        let misses = bodies.proxy.misses() + bodies.scored.misses();
+        tracer.count("fusing.body_cache_hit", hits - state.body_accesses.0);
+        tracer.count("fusing.body_cache_miss", misses - state.body_accesses.1);
+        state.body_accesses = (hits, misses);
+        let mut eval_time: HashMap<Vec<usize>, Duration> = HashMap::new();
+        for ((&k, (result, took)), fork) in jobs.iter().zip(evaluated).zip(&forks) {
+            tracer.absorb(fork);
+            eval_time.insert(sampled[k].actions.clone(), took);
+            state.cache.insert(sampled[k].actions.clone(), result?);
+        }
+
+        // Phase 3: merge records in episode order and update the policy
+        // once per batch (Eq. 4 with m = batch_len).
+        let mut pending: Vec<(SampledEpisode, f32)> = Vec::with_capacity(batch_len);
+        for (k, s) in sampled.into_iter().enumerate() {
+            let mut record = state
+                .cache
+                .get(&s.actions)
+                .expect("evaluated or cached above")
+                .clone();
+            record.episode = episode + k as u32;
+            if record.reward > state.best_reward {
+                state.best_reward = record.reward;
+                state.best_idx = state.history.len();
+            }
+            if tracer.is_enabled() {
+                let cached = record.first_seen != record.episode;
+                let took = if cached {
+                    Duration::ZERO
+                } else {
+                    eval_time.get(&s.actions).copied().unwrap_or(Duration::ZERO)
+                };
+                let mut fields = vec![
+                    Field::new("episode", record.episode as usize),
+                    Field::new("first_seen", record.first_seen as usize),
+                    Field::new("cached", i64::from(cached)),
+                    Field::new("reward", record.reward),
+                    Field::new("accuracy", record.accuracy),
+                ];
+                for (name, u) in self.config.target_attributes.iter().zip(&record.unfairness) {
+                    fields.push(Field::new(format!("U_{name}"), *u));
+                }
+                tracer.record_span("search.episode", fields, took);
+            }
+            pending.push((s, record.reward));
+            state.history.push(record);
+        }
+        state.controller.update_batch(&pending);
+        state.episode += batch_len as u32;
+        batch_span.finish();
+        tracer.progress(|| {
+            format!(
+                "episode {}/{}: {} new evaluation(s), best reward {:.3}",
+                state.episode,
+                self.config.episodes,
+                jobs.len(),
+                state.best_reward,
+            )
+        });
+        Ok(())
+    }
+
+    /// Writes a [`SearchCheckpoint`] to `path` when one is due: every
+    /// `checkpoint_every` episodes, at the end of the run, and before a
+    /// halt.
+    ///
+    /// The batch boundary is the only point the whole loop state is
+    /// summarised by (rng, controller, history, cache) — the only point a
+    /// checkpoint can resume from without drift.
+    fn checkpoint(
+        &self,
+        state: &mut LoopState,
+        rng: &Rng64,
+        opts: &PersistenceOptions,
+        path: &std::path::Path,
+        fingerprint: &SearchFingerprint,
+        halting: bool,
+    ) -> Result<(), MuffinError> {
+        let due = state.episode - state.last_checkpoint >= opts.checkpoint_every
+            || state.episode == self.config.episodes
+            || halting;
+        if !due {
+            return Ok(());
+        }
+        SearchCheckpoint {
+            version: CHECKPOINT_VERSION,
+            fingerprint: fingerprint.clone(),
+            target_episodes: self.config.episodes,
+            episode: state.episode,
+            rng_state: rng.state(),
+            seed_stream_seed: state.seed_stream_seed,
+            controller: state.controller.export_state(),
+            history: state.history.clone(),
+            cache: state.cache_records(),
+            exchanges_applied: state.exchanges_applied,
+        }
+        .save(path)?;
+        state.last_checkpoint = state.episode;
+        self.tracer.count("search.checkpoint_write", 1);
+        Ok(())
     }
 
     /// Rewrites the cross-run evaluation cache (when configured) with the
@@ -1143,8 +1216,8 @@ impl MuffinSearch {
     fn write_eval_cache(
         &self,
         opts: &PersistenceOptions,
-        fingerprint: &Option<SearchFingerprint>,
-        cache: &HashMap<Vec<usize>, EpisodeRecord>,
+        fingerprint: Option<&SearchFingerprint>,
+        state: &LoopState,
     ) -> Result<(), MuffinError> {
         let (Some(path), Some(fp)) = (&opts.eval_cache, fingerprint) else {
             return Ok(());
@@ -1152,14 +1225,12 @@ impl MuffinSearch {
         if opts.eval_cache_read_only {
             return Ok(());
         }
-        let mut records: Vec<EpisodeRecord> = cache.values().cloned().collect();
-        records.sort_by(|a, b| a.actions.cmp(&b.actions));
-        let file = EvalCacheFile {
+        EvalCacheFile {
             version: CHECKPOINT_VERSION,
             fingerprint: fp.clone(),
-            records,
-        };
-        file.save_merged(path)
+            records: state.cache_records(),
+        }
+        .save_merged(path)
     }
 }
 
@@ -1221,6 +1292,54 @@ mod tests {
         let err = MuffinSearch::new(pool, split, SearchConfig::fast(&["age"]).with_episodes(0))
             .unwrap_err();
         assert!(matches!(err, MuffinError::InvalidConfig(_)));
+    }
+
+    /// A one-model pool and split, plus a privilege map over `age`, for
+    /// exercising constructor validation.
+    fn validation_fixture() -> (ModelPool, DatasetSplit, PrivilegeMap) {
+        let mut rng = Rng64::seed(3);
+        let split = IsicLike::small().generate(&mut rng).split_default(&mut rng);
+        let pool = ModelPool::train(
+            &split.train,
+            &[Architecture::resnet18()],
+            &BackboneConfig::fast(),
+            &mut rng,
+        );
+        let mut privilege = PrivilegeMap::new();
+        privilege.set(split.train.schema().by_name("age").unwrap(), vec![4, 5]);
+        (pool, split, privilege)
+    }
+
+    #[test]
+    fn both_constructors_reject_the_same_bad_configs() {
+        let (pool, split, privilege) = validation_fixture();
+        let config = || SearchConfig::fast(&["age"]);
+        // Each bad config, with the word its error message must name.
+        let bad = [
+            ("num_slots", config().with_slots(0)),
+            ("episodes", config().with_episodes(0)),
+            ("reinforce_batch", config().with_reinforce_batch(0)),
+            ("required model", config().with_required_models(vec![1])),
+        ];
+        for (named, config) in bad {
+            let inferred = MuffinSearch::new(pool.clone(), split.clone(), config.clone());
+            let supplied = MuffinSearch::with_privilege(
+                pool.clone(),
+                split.clone(),
+                config,
+                privilege.clone(),
+            );
+            for err in [inferred.unwrap_err(), supplied.unwrap_err()] {
+                assert!(
+                    matches!(&err, MuffinError::InvalidConfig(m) if m.contains(named)),
+                    "{named}: {err:?}"
+                );
+            }
+        }
+        let err =
+            MuffinSearch::with_privilege(pool, split, SearchConfig::fast(&["nope"]), privilege)
+                .unwrap_err();
+        assert_eq!(err, MuffinError::UnknownAttribute("nope".into()));
     }
 
     #[test]

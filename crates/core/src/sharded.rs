@@ -45,7 +45,7 @@
 use crate::checkpoint::{
     EvalCacheFile, PersistenceOptions, SearchCheckpoint, SearchFingerprint, CHECKPOINT_VERSION,
 };
-use crate::halving::{evaluate_at_epochs, promote, rung_budgets};
+use crate::halving::{promote, rung_budgets};
 use crate::search::{EpisodeRecord, SearchConfig, SearchOutcome};
 use crate::{MuffinError, MuffinSearch, RnnController, SampledEpisode};
 use muffin_data::DatasetSplit;
@@ -586,6 +586,7 @@ fn run_screen(
         sharded.screen_keep,
     );
     let full_epochs = search.config().head.epochs;
+    let bodies = search.bodies(&search.split().val);
     let mut rng = Rng64::seed(screen_seed);
 
     // Rung-0 population: distinct random action vectors (the attempt cap
@@ -612,17 +613,17 @@ fn run_screen(
         // The final rung runs the full budget and drops the `@ep` tag:
         // its records are real evaluations the search loop can serve
         // from cache.
-        let rung_epochs = if last { full_epochs } else { epochs };
+        let rung_epochs = (!last).then_some(epochs);
         let mut scored: Vec<EpisodeRecord> = Vec::with_capacity(population.len());
         for actions in &population {
             let head_seed = rng.next_u64();
-            scored.push(evaluate_at_epochs(
-                search,
+            scored.push(search.evaluate_record(
+                &bodies,
                 actions,
                 head_seed,
                 rung_epochs,
                 0,
-                !last,
+                &Tracer::noop(),
             )?);
         }
         search

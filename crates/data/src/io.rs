@@ -62,26 +62,8 @@ impl Dataset {
     /// Returns [`DatasetIoError::Io`] if the file cannot be read and
     /// [`DatasetIoError::Parse`] if it is not a valid dataset.
     pub fn load_json(path: impl AsRef<Path>) -> Result<Dataset, DatasetIoError> {
-        Self::load_json_traced(path, &muffin_trace::Tracer::noop())
-    }
-
-    /// Like [`Dataset::load_json`], recording a `data.load_dataset` span
-    /// (path, sample count) into `tracer`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Dataset::load_json`].
-    pub fn load_json_traced(
-        path: impl AsRef<Path>,
-        tracer: &muffin_trace::Tracer,
-    ) -> Result<Dataset, DatasetIoError> {
-        let mut span = tracer.span("data.load_dataset");
-        span.field("path", path.as_ref().display().to_string());
         let text = fs::read_to_string(path)?;
-        let dataset: Dataset =
-            muffin_json::from_str(&text).map_err(|e| DatasetIoError::Parse(e.to_string()))?;
-        span.field("samples", dataset.len());
-        Ok(dataset)
+        muffin_json::from_str(&text).map_err(|e| DatasetIoError::Parse(e.to_string()))
     }
 }
 

@@ -2,6 +2,7 @@ use crate::{Architecture, FrozenModel};
 use muffin_data::Dataset;
 use muffin_nn::{ClassifierTrainer, LossKind, LrSchedule, Mlp, MlpSpec};
 use muffin_tensor::{Init, Matrix, Rng64};
+use muffin_trace::Tracer;
 
 /// Training configuration for the simulated off-the-shelf backbones.
 ///
@@ -94,7 +95,7 @@ pub(crate) fn train_backbone(
     let trainer =
         ClassifierTrainer::new(config.epochs, config.batch_size).with_schedule(config.schedule);
     let loss = if weights.is_some() { LossKind::WeightedCrossEntropy } else { LossKind::CrossEntropy };
-    trainer.fit(&mut mlp, &projected, &labels, weights.as_deref(), loss, rng);
+    trainer.fit(&mut mlp, &projected, &labels, weights.as_deref(), loss, rng, &Tracer::noop());
 
     FrozenModel::from_parts(name, architecture.clone(), projection, mlp)
 }

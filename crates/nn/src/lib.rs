@@ -21,6 +21,7 @@
 //! ```
 //! use muffin_nn::{Activation, ClassifierTrainer, LossKind, Mlp, MlpSpec};
 //! use muffin_tensor::{Matrix, Rng64};
+//! use muffin_trace::Tracer;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut rng = Rng64::seed(0);
@@ -30,7 +31,7 @@
 //! let spec = MlpSpec::new(2, &[8], 2).with_activation(Activation::Tanh);
 //! let mut mlp = Mlp::new(&spec, &mut rng);
 //! let trainer = ClassifierTrainer::new(400, 4).with_learning_rate(0.5);
-//! trainer.fit(&mut mlp, &x, &y, None, LossKind::CrossEntropy, &mut rng);
+//! trainer.fit(&mut mlp, &x, &y, None, LossKind::CrossEntropy, &mut rng, &Tracer::noop());
 //! assert_eq!(mlp.predict(&x), y);
 //! # Ok(())
 //! # }

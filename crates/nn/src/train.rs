@@ -10,26 +10,14 @@ pub struct TrainReport {
     pub epoch_losses: Vec<f32>,
     /// Number of optimizer steps taken.
     pub steps: u32,
-    /// Validation accuracy per epoch, when validation data was supplied.
-    pub val_accuracies: Vec<f32>,
-    /// Whether the run ended early on the patience criterion.
-    pub stopped_early: bool,
 }
 
-muffin_json::impl_json!(struct TrainReport { epoch_losses, steps, val_accuracies, stopped_early });
+muffin_json::impl_json!(struct TrainReport { epoch_losses, steps });
 
 impl TrainReport {
     /// The final epoch's mean loss, or `None` for a zero-epoch run.
     pub fn final_loss(&self) -> Option<f32> {
         self.epoch_losses.last().copied()
-    }
-
-    /// The best validation accuracy observed, if validation ran.
-    pub fn best_val_accuracy(&self) -> Option<f32> {
-        self.val_accuracies
-            .iter()
-            .copied()
-            .fold(None, |best, v| Some(best.map_or(v, |b: f32| b.max(v))))
     }
 }
 
@@ -44,14 +32,22 @@ impl TrainReport {
 /// ```
 /// use muffin_nn::{ClassifierTrainer, LossKind, Mlp, MlpSpec};
 /// use muffin_tensor::{Matrix, Rng64};
+/// use muffin_trace::Tracer;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut rng = Rng64::seed(0);
 /// let x = Matrix::from_rows(&[&[-1.0], &[1.0]])?;
 /// let y = vec![0usize, 1];
 /// let mut mlp = Mlp::new(&MlpSpec::new(1, &[4], 2), &mut rng);
-/// let report = ClassifierTrainer::new(50, 2)
-///     .fit(&mut mlp, &x, &y, None, LossKind::CrossEntropy, &mut rng);
+/// let report = ClassifierTrainer::new(50, 2).fit(
+///     &mut mlp,
+///     &x,
+///     &y,
+///     None,
+///     LossKind::CrossEntropy,
+///     &mut rng,
+///     &Tracer::noop(),
+/// );
 /// assert!(report.final_loss().unwrap() < 0.5);
 /// # Ok(())
 /// # }
@@ -114,15 +110,19 @@ impl ClassifierTrainer {
         self.epochs
     }
 
-    /// Trains `mlp` on features `x` and labels `y`.
+    /// Trains `mlp` on features `x` and labels `y`, recording one
+    /// `nn.epoch` span per epoch (loss, learning rate) into `tracer`.
     ///
     /// `sample_weights`, when given, scales each sample's loss contribution
     /// (the paper's Eq. 2 when combined with [`LossKind::WeightedMse`]).
+    /// Tracing never touches `rng`, so the trained weights are
+    /// bit-identical with a capturing or a no-op tracer.
     ///
     /// # Panics
     ///
     /// Panics if `x.rows() != y.len()`, if `sample_weights` has the wrong
     /// length, or if `x` is empty.
+    #[allow(clippy::too_many_arguments)]
     pub fn fit(
         &self,
         mlp: &mut Mlp,
@@ -131,85 +131,9 @@ impl ClassifierTrainer {
         sample_weights: Option<&[f32]>,
         loss: LossKind,
         rng: &mut Rng64,
-    ) -> TrainReport {
-        self.fit_with_validation(mlp, x, y, sample_weights, loss, None, rng)
-    }
-
-    /// Like [`ClassifierTrainer::fit`], recording one `nn.epoch` span per
-    /// epoch (loss, learning rate) into `tracer`. With a no-op tracer this
-    /// is exactly `fit`: tracing never touches the RNG, so the trained
-    /// weights are bit-identical either way.
-    #[allow(clippy::too_many_arguments)]
-    pub fn fit_traced(
-        &self,
-        mlp: &mut Mlp,
-        x: &Matrix,
-        y: &[usize],
-        sample_weights: Option<&[f32]>,
-        loss: LossKind,
-        rng: &mut Rng64,
-        tracer: &Tracer,
-    ) -> TrainReport {
-        self.fit_with_validation_traced(mlp, x, y, sample_weights, loss, None, rng, tracer)
-    }
-
-    /// Trains like [`ClassifierTrainer::fit`] but additionally tracks
-    /// validation accuracy per epoch and stops early when it has not
-    /// improved for `patience` consecutive epochs, restoring nothing (the
-    /// final weights are kept — callers wanting the best epoch should
-    /// snapshot on improvement).
-    ///
-    /// `validation` is `Some((features, labels, patience))`.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`ClassifierTrainer::fit`]; additionally panics if
-    /// the validation features/labels lengths disagree.
-    #[allow(clippy::too_many_arguments)]
-    pub fn fit_with_validation(
-        &self,
-        mlp: &mut Mlp,
-        x: &Matrix,
-        y: &[usize],
-        sample_weights: Option<&[f32]>,
-        loss: LossKind,
-        validation: Option<(&Matrix, &[usize], u32)>,
-        rng: &mut Rng64,
-    ) -> TrainReport {
-        self.fit_with_validation_traced(
-            mlp,
-            x,
-            y,
-            sample_weights,
-            loss,
-            validation,
-            rng,
-            &Tracer::noop(),
-        )
-    }
-
-    /// [`ClassifierTrainer::fit_with_validation`] with per-epoch `nn.epoch`
-    /// spans recorded into `tracer`; see [`ClassifierTrainer::fit_traced`].
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`ClassifierTrainer::fit_with_validation`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn fit_with_validation_traced(
-        &self,
-        mlp: &mut Mlp,
-        x: &Matrix,
-        y: &[usize],
-        sample_weights: Option<&[f32]>,
-        loss: LossKind,
-        validation: Option<(&Matrix, &[usize], u32)>,
-        rng: &mut Rng64,
         tracer: &Tracer,
     ) -> TrainReport {
         assert_eq!(x.rows(), y.len(), "features/labels mismatch");
-        if let Some((vx, vy, _)) = validation {
-            assert_eq!(vx.rows(), vy.len(), "validation features/labels mismatch");
-        }
         assert!(x.rows() > 0, "cannot train on an empty dataset");
         if let Some(w) = sample_weights {
             assert_eq!(w.len(), y.len(), "weights/labels mismatch");
@@ -219,10 +143,6 @@ impl ClassifierTrainer {
         let mut optimizer = Optimizer::sgd(self.sgd);
         let mut indices: Vec<usize> = (0..x.rows()).collect();
         let mut epoch_losses = Vec::with_capacity(self.epochs as usize);
-        let mut val_accuracies = Vec::new();
-        let mut best_val = f32::MIN;
-        let mut epochs_since_best = 0u32;
-        let mut stopped_early = false;
         let mut steps = 0u32;
         // One set of buffers reused across every mini-batch of every epoch:
         // the loop below performs no per-batch heap allocation once these
@@ -289,27 +209,10 @@ impl ClassifierTrainer {
                     epoch_start.elapsed(),
                 );
             }
-
-            if let Some((vx, vy, patience)) = validation {
-                let acc = crate::accuracy(&mlp.predict(vx), vy);
-                val_accuracies.push(acc);
-                if acc > best_val + 1e-6 {
-                    best_val = acc;
-                    epochs_since_best = 0;
-                } else {
-                    epochs_since_best += 1;
-                    if epochs_since_best >= patience {
-                        stopped_early = true;
-                        break;
-                    }
-                }
-            }
         }
         TrainReport {
             epoch_losses,
             steps,
-            val_accuracies,
-            stopped_early,
         }
     }
 }
@@ -342,7 +245,15 @@ mod tests {
         let (x, y) = blobs(90, &mut rng);
         let mut mlp = Mlp::new(&MlpSpec::new(2, &[16], 3), &mut rng);
         let trainer = ClassifierTrainer::new(60, 16).with_learning_rate(0.1);
-        trainer.fit(&mut mlp, &x, &y, None, LossKind::CrossEntropy, &mut rng);
+        trainer.fit(
+            &mut mlp,
+            &x,
+            &y,
+            None,
+            LossKind::CrossEntropy,
+            &mut rng,
+            &Tracer::noop(),
+        );
         let acc = crate::accuracy(&mlp.predict(&x), &y);
         assert!(acc > 0.95, "accuracy {acc}");
     }
@@ -364,6 +275,7 @@ mod tests {
             Some(&weights),
             LossKind::WeightedMse,
             &mut rng,
+            &Tracer::noop(),
         );
         let acc = crate::accuracy(&mlp.predict(&x), &y);
         assert!(acc > 0.9, "accuracy {acc}");
@@ -386,6 +298,7 @@ mod tests {
             Some(&weights),
             LossKind::WeightedCrossEntropy,
             &mut rng,
+            &Tracer::noop(),
         );
         assert_eq!(mlp.predict(&x)[0], 0);
     }
@@ -402,6 +315,7 @@ mod tests {
             None,
             LossKind::CrossEntropy,
             &mut rng,
+            &Tracer::noop(),
         );
         assert_eq!(report.epoch_losses.len(), 7);
         assert!(report.steps >= 7);
@@ -420,6 +334,7 @@ mod tests {
                 None,
                 LossKind::CrossEntropy,
                 &mut rng,
+                &Tracer::noop(),
             );
             mlp.forward(&x)
         };
@@ -438,7 +353,15 @@ mod tests {
         let mut rng = Rng64::seed(15);
         let mut mlp = Mlp::new(&MlpSpec::new(2, &[4], 2), &mut rng);
         let x = Matrix::zeros(0, 2);
-        ClassifierTrainer::new(1, 4).fit(&mut mlp, &x, &[], None, LossKind::CrossEntropy, &mut rng);
+        ClassifierTrainer::new(1, 4).fit(
+            &mut mlp,
+            &x,
+            &[],
+            None,
+            LossKind::CrossEntropy,
+            &mut rng,
+            &Tracer::noop(),
+        );
     }
 
     #[test]
@@ -446,33 +369,8 @@ mod tests {
         let report = TrainReport {
             epoch_losses: vec![],
             steps: 0,
-            val_accuracies: vec![],
-            stopped_early: false,
         };
         assert!(report.final_loss().is_none());
-        assert!(report.best_val_accuracy().is_none());
-    }
-
-    #[test]
-    fn validation_tracking_records_each_epoch() {
-        let mut rng = Rng64::seed(21);
-        let (x, y) = blobs(60, &mut rng);
-        let (vx, vy) = blobs(30, &mut rng);
-        let mut mlp = Mlp::new(&MlpSpec::new(2, &[8], 3), &mut rng);
-        let report = ClassifierTrainer::new(10, 16)
-            .with_learning_rate(0.1)
-            .fit_with_validation(
-                &mut mlp,
-                &x,
-                &y,
-                None,
-                LossKind::CrossEntropy,
-                Some((&vx, &vy, 100)),
-                &mut rng,
-            );
-        assert_eq!(report.val_accuracies.len(), 10);
-        assert!(!report.stopped_early);
-        assert!(report.best_val_accuracy().expect("tracked") > 0.3);
     }
 
     #[test]
@@ -481,7 +379,7 @@ mod tests {
         let run = |tracer: &Tracer| {
             let mut rng = Rng64::seed(33);
             let mut mlp = Mlp::new(&MlpSpec::new(2, &[6], 3), &mut rng);
-            ClassifierTrainer::new(5, 8).fit_traced(
+            ClassifierTrainer::new(5, 8).fit(
                 &mut mlp,
                 &x,
                 &y,
@@ -500,32 +398,5 @@ mod tests {
         assert_eq!(epochs.len(), 5);
         assert!(epochs[0].field("loss").is_some());
         assert!(epochs[0].field("lr").is_some());
-    }
-
-    #[test]
-    fn early_stopping_halts_on_plateau() {
-        let mut rng = Rng64::seed(22);
-        let (x, y) = blobs(60, &mut rng);
-        let (vx, vy) = blobs(30, &mut rng);
-        let mut mlp = Mlp::new(&MlpSpec::new(2, &[16], 3), &mut rng);
-        // Zero learning rate: validation accuracy can never improve after
-        // the first epoch, so patience=2 must trip quickly.
-        let report = ClassifierTrainer::new(50, 16)
-            .with_learning_rate(0.0)
-            .fit_with_validation(
-                &mut mlp,
-                &x,
-                &y,
-                None,
-                LossKind::CrossEntropy,
-                Some((&vx, &vy, 2)),
-                &mut rng,
-            );
-        assert!(report.stopped_early);
-        assert!(
-            report.val_accuracies.len() <= 4,
-            "stopped after {} epochs",
-            report.val_accuracies.len()
-        );
     }
 }

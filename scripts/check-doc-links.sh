@@ -13,7 +13,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-DOCS="README.md DESIGN.md EXPERIMENTS.md ROADMAP.md CHANGELOG.md \
+DOCS="README.md DESIGN.md EXPERIMENTS.md ROADMAP.md \
       docs/OPERATIONS.md docs/PAPER_MAP.md docs/SCENARIOS.md"
 
 status=0

@@ -113,6 +113,32 @@ cargo run -q --release --offline -p muffin-cli -- matrix \
 test -s target/muffin-matrix-smoke/matrix.json
 test -s target/muffin-matrix-smoke/matrix.md
 
+echo "==> repo benchmark: build, unit tests, serve-fused smoke (untraced + traced)"
+# e2e-bench builds against the workspace crates by path, so a public-API
+# change that breaks it fails here, not only in the benchmark pipeline.
+# Each run must exit 0 (every correctness check passed), and the traced
+# run's two replicas must have verified the trace they re-derive.
+bench() {
+    subcommand=$1
+    shift
+    CARGO_TARGET_DIR=.bench_build cargo "$subcommand" --release --offline --quiet \
+        --manifest-path e2e-bench/Cargo.toml "$@"
+}
+bench build
+bench test
+mkdir -p target/e2e-bench-smoke
+for trace in 0 1; do
+    bench run -- --workload serve-fused --seed 1 --seconds 1 --trace "$trace" \
+        > "target/e2e-bench-smoke/serve-fused-trace$trace.txt"
+done
+for flag in nn.replica_verified controller.replay_verified; do
+    tail -n 1 target/e2e-bench-smoke/serve-fused-trace1.txt \
+        | grep -q "\"$flag\": {\"value\": 1," || {
+        echo "ERROR: $flag did not read 1 in the traced benchmark smoke" >&2
+        exit 1
+    }
+done
+
 echo "==> documentation link check"
 sh scripts/check-doc-links.sh
 

@@ -150,10 +150,16 @@ fn stripped_trace_reproduces_the_committed_log() {
 #[ignore = "rewrites the files under tests/golden/; run via scripts/regen-golden.sh"]
 fn regenerate_golden_snapshot() {
     let files = [
-        ("search_outcome.json", golden_outcome_json(&WorkerPool::serial())),
+        (
+            "search_outcome.json",
+            golden_outcome_json(&WorkerPool::serial()),
+        ),
         ("random_search_outcome.json", golden_random_search_json()),
         ("halving_outcome.json", golden_halving_json()),
-        ("search_trace.json", golden_trace_json(&WorkerPool::serial())),
+        (
+            "search_trace.json",
+            golden_trace_json(&WorkerPool::serial()),
+        ),
     ];
     for (name, json) in files {
         let path = golden_path(name);

@@ -3,7 +3,7 @@
 //! JSON — to the serial path for the same seed, at every worker count.
 //! This is the test `scripts/ci.sh` runs explicitly.
 
-use muffin::{HeadSpec, HeadTrainConfig, MuffinSearch, SearchConfig, WorkerPool};
+use muffin::{BodyOutputCache, HeadSpec, HeadTrainConfig, MuffinSearch, SearchConfig, WorkerPool};
 use muffin_integration_tests::small_fixture;
 use muffin_nn::Activation;
 
@@ -13,7 +13,9 @@ fn outcome_json(workers: usize) -> String {
         .with_episodes(10)
         .with_reinforce_batch(5);
     let search = MuffinSearch::new(pool, split, config).expect("setup");
-    let outcome = search.run_parallel(&mut rng, workers).expect("run");
+    let outcome = search
+        .run_with_pool(&mut rng, &WorkerPool::new(workers))
+        .expect("run");
     muffin_json::to_string(&outcome)
 }
 
@@ -55,10 +57,25 @@ fn fused_batch_inference_is_worker_count_invariant() {
     let proxy = muffin::ProxyDataset::build(&split.train, &privilege).expect("proxy");
     fusing.train_head(&pool, &split.train, &proxy, &HeadTrainConfig::fast(), &mut rng);
 
-    let serial = fusing.predict(&pool, split.test.features());
+    // Batch inference fans contiguous row ranges out over the workers,
+    // each scored through its own body-output cache (as the serving
+    // engine does per batch); the result must not depend on the split.
+    let features = split.test.features();
+    let serial = fusing.predict(&pool, features);
     for workers in [2usize, 5, 16] {
-        let pooled =
-            fusing.predict_with(&pool, split.test.features(), &WorkerPool::new(workers));
+        let (rows, step) = (features.rows(), features.rows().div_ceil(workers));
+        let ranges: Vec<std::ops::Range<usize>> = (0..rows)
+            .step_by(step)
+            .map(|start| start..(start + step).min(rows))
+            .collect();
+        let pooled: Vec<usize> = WorkerPool::new(workers)
+            .map(&ranges, |_, range| {
+                let cache = BodyOutputCache::new(&pool, features.row_range(range.clone()));
+                fusing.try_predict_cached(&cache).expect("valid structure")
+            })
+            .into_iter()
+            .flatten()
+            .collect();
         assert_eq!(serial, pooled, "workers={workers}");
     }
 }
