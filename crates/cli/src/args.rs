@@ -148,6 +148,20 @@ impl Args {
         self.get(key).is_some()
     }
 
+    /// Rejects any option not in `known`, the flags the command reads.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first unknown flag and the command.
+    pub(crate) fn reject_unknown(&self, known: &[&str]) -> Result<(), String> {
+        for key in self.options.keys() {
+            if !known.contains(&key.as_str()) {
+                return Err(format!("{} does not take --{key}", self.command));
+            }
+        }
+        Ok(())
+    }
+
     /// A comma-separated list option (empty vec when absent).
     pub fn get_list(&self, key: &str) -> Vec<&str> {
         self.get(key)

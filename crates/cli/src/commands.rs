@@ -1,8 +1,7 @@
 use crate::Args;
 use muffin::{
-    distill_student, run_sharded, summarize, DistillConfig, MuffinError, MuffinSearch,
-    PersistenceOptions, SearchConfig, SearchOutcome, ShardedConfig, TextTable, TraceLog, Tracer,
-    WorkerPool,
+    distill_student, summarize, DistillConfig, MuffinError, MuffinSearch, PersistenceOptions,
+    SearchConfig, SearchOutcome, TextTable, TraceLog, Tracer, WorkerPool,
 };
 use muffin_data::{Dataset, FitzpatrickLike, IsicLike};
 use muffin_models::{format_model_id, Architecture, BackboneConfig, ModelIdentity, ModelPool};
@@ -39,7 +38,7 @@ COMMANDS:
               Appending keeps every existing model at its index, so
               checkpoints and eval caches written against the old pool
               warm-resume via `search --resume` (see docs/OPERATIONS.md
-              §12).
+              §11).
   pool remove Remove one model from a pool, by name or 16-hex content id
               --pool FILE  --model NAME|ID (required)
               --outcome FILE (optional: refuse to remove a model that the
@@ -89,29 +88,9 @@ COMMANDS:
               --stop-after N (optional, needs --checkpoint: halt at the
                 first batch boundary at or past episode N, writing a
                 checkpoint — an operator drill for kill/resume)
-              --shards N (optional: run a sharded multi-island fleet with
-                N islands executing concurrently; the merged outcome is
-                byte-identical for every N, worker count and completion
-                order. Requires --shard-dir; incompatible with
-                --checkpoint, --stop-after and --distill-out)
-              --shard-dir DIR (fleet state: identity manifest, per-shard
-                checkpoints, per-round cache snapshots and elite files;
-                --resume continues a killed fleet from this directory)
-              --islands K (default 4: search islands the episode budget
-                is split across; identity-bearing, unlike --shards)
-              --exchange-every E (default 10: per-island episodes between
-                elite-exchange barriers, rounded up to REINFORCE batch
-                boundaries; 0 disables exchange)
-              --elites E (default 2: fleet-wide elites broadcast to every
-                island's controller at each barrier)
-              --screen-budget B (default 0 = off: per-island successive-
-                halving screen; cheap low-epoch rungs promote into full
-                evaluations that seed the fleet's shared eval cache)
-              In sharded mode --workers sets each island's evaluation
-              threads and --eval-cache names a cross-fleet warm cache
-              (read before the screen, merged back after the run).
               --verbose (print progress lines to stderr; without it the
                 run is silent apart from the result)
+              Any other flag is rejected before a file is read.
   matrix      Benchmark grid: one Muffin search per scenario × reward cell
               --scenarios a,b,... (required: registry names from
                 `docs/SCENARIOS.md` — e.g. isic-intersect, adult-income —
@@ -443,9 +422,33 @@ fn pool_gc(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Every flag `search` reads.
+const SEARCH_FLAGS: &[&str] = &[
+    "data",
+    "pool",
+    "split-seed",
+    "attrs",
+    "out",
+    "episodes",
+    "slots",
+    "seed",
+    "batch",
+    "workers",
+    "trace-out",
+    "verbose",
+    "checkpoint",
+    "checkpoint-every",
+    "resume",
+    "eval-cache",
+    "stop-after",
+    "distill-out",
+    "student-hidden",
+];
+
 fn search(args: &Args) -> Result<(), String> {
     // Validate every argument before loading any file, so bad flags fail
     // fast even when the inputs are large.
+    args.reject_unknown(SEARCH_FLAGS)?;
     let out = args.require("out")?;
     let attrs = args.get_list("attrs");
     if attrs.is_empty() {
@@ -482,55 +485,13 @@ fn search(args: &Args) -> Result<(), String> {
                 .map_err(|_| format!("--stop-after expects an integer, got {v}"))?,
         ),
     };
-    // Sharded-fleet flags. `--shards` flips the whole command into
-    // supervisor mode; the rest refine it.
-    let sharded_mode = args.get("shards").is_some();
-    let shards = args.get_usize("shards", 1)?;
-    let islands = args.get_usize("islands", 4)?;
-    let exchange_every = args.get_u32("exchange-every", 10)?;
-    let elites = args.get_usize("elites", 2)?;
-    let screen_budget = args.get_u32("screen-budget", 0)?;
-    let shard_dir = args.get("shard-dir").map(std::path::PathBuf::from);
-    if sharded_mode {
-        if shard_dir.is_none() {
-            return Err("--shards requires --shard-dir".into());
-        }
-        if checkpoint.is_some() {
-            return Err(
-                "--checkpoint is not used with --shards; per-shard checkpoints live in --shard-dir"
-                    .into(),
-            );
-        }
-        if stop_after.is_some() {
-            return Err(
-                "--stop-after is not supported with --shards; kill the fleet and rerun with \
-                 --resume"
-                    .into(),
-            );
-        }
-        if args.get("distill-out").is_some() {
-            return Err("--distill-out is not supported with --shards".into());
-        }
-    } else {
-        for flag in [
-            "islands",
-            "exchange-every",
-            "elites",
-            "screen-budget",
-            "shard-dir",
-        ] {
-            if args.get(flag).is_some() {
-                return Err(format!("--{flag} requires --shards"));
-            }
-        }
-    }
-    if resume && checkpoint.is_none() && !sharded_mode {
+    if resume && checkpoint.is_none() {
         return Err("--resume requires --checkpoint".into());
     }
     if stop_after.is_some() && checkpoint.is_none() {
         return Err("--stop-after requires --checkpoint".into());
     }
-    if resume && !sharded_mode {
+    if resume {
         let path = checkpoint.as_ref().expect("validated above");
         if !path.exists() {
             return Err(format!(
@@ -566,53 +527,6 @@ fn search(args: &Args) -> Result<(), String> {
         .with_episodes(episodes)
         .with_slots(slots)
         .with_reinforce_batch(batch);
-
-    if sharded_mode {
-        let sharded = ShardedConfig {
-            islands,
-            exchange_every,
-            elites,
-            screen_budget,
-            shards,
-            island_workers: workers,
-            ..ShardedConfig::default()
-        };
-        let dir = shard_dir.expect("validated above");
-        let outcome = run_sharded(
-            pool,
-            split,
-            config,
-            &sharded,
-            seed,
-            &dir,
-            resume,
-            eval_cache.as_deref(),
-            &tracer,
-        )
-        .map_err(|e| e.to_string())?;
-        outcome.save_json(out)?;
-        if let Some(path) = trace_out {
-            let log = tracer.finish();
-            log.save_json(path)?;
-            println!("trace log ({} events) written to {path}", log.events.len());
-        }
-        let best = outcome.best();
-        println!(
-            "best (episode {}): {} head {} | reward {:.3} acc {:.2}% U {:?}",
-            best.first_seen,
-            best.model_names.join("+"),
-            best.head_desc,
-            best.reward,
-            best.accuracy * 100.0,
-            best.unfairness
-        );
-        println!(
-            "merged {} episodes from {islands} island(s) ({shards} shard slot(s)); \
-             full history written to {out}",
-            outcome.history.len()
-        );
-        return Ok(());
-    }
 
     let search = MuffinSearch::new(pool, split, config)
         .map_err(|e| e.to_string())?
@@ -1057,45 +971,6 @@ mod tests {
         let err = run(&Args::parse_from(bad_stop).expect("parse")).unwrap_err();
         assert!(
             err.contains("--stop-after") && err.contains("soon"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn search_sharded_flags_are_cross_validated() {
-        let base = [
-            "search", "--data", "x.json", "--pool", "p.json", "--attrs", "age", "--out", "o.json",
-        ];
-        // --shards needs --shard-dir.
-        let mut no_dir = base.to_vec();
-        no_dir.extend(["--shards", "2"]);
-        let err = run(&Args::parse_from(no_dir).expect("parse")).unwrap_err();
-        assert!(err.contains("--shard-dir"), "{err}");
-
-        // Per-shard checkpoints live in the shard dir: --checkpoint clashes.
-        let mut with_ckpt = base.to_vec();
-        with_ckpt.extend([
-            "--shards",
-            "2",
-            "--shard-dir",
-            "d",
-            "--checkpoint",
-            "c.json",
-        ]);
-        let err = run(&Args::parse_from(with_ckpt).expect("parse")).unwrap_err();
-        assert!(err.contains("--checkpoint"), "{err}");
-
-        let mut with_stop = base.to_vec();
-        with_stop.extend(["--shards", "2", "--shard-dir", "d", "--stop-after", "4"]);
-        let err = run(&Args::parse_from(with_stop).expect("parse")).unwrap_err();
-        assert!(err.contains("--stop-after"), "{err}");
-
-        // Fleet-only flags are rejected without --shards.
-        let mut islands_only = base.to_vec();
-        islands_only.extend(["--islands", "2"]);
-        let err = run(&Args::parse_from(islands_only).expect("parse")).unwrap_err();
-        assert!(
-            err.contains("--islands") && err.contains("--shards"),
             "{err}"
         );
     }

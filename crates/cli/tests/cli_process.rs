@@ -654,144 +654,6 @@ fn pool_lifecycle_extends_warm_resumes_and_guards_chosen_models() {
     }
 }
 
-/// `search` arguments for a sharded fleet on the shared fixture recipe:
-/// 2 islands on 2 shard slots, exchanging elites every 2 episodes, fleet
-/// state in `dir`.
-fn sharded_cmd(data: &str, pool: &str, out: &str, dir: &str) -> Vec<String> {
-    search_cmd(
-        data,
-        pool,
-        out,
-        &[
-            "--shards",
-            "2",
-            "--islands",
-            "2",
-            "--exchange-every",
-            "2",
-            "--workers",
-            "1",
-            "--shard-dir",
-            dir,
-        ],
-    )
-}
-
-fn fresh_fleet_dir(name: &str) -> String {
-    let dir = tmp(name);
-    std::fs::remove_dir_all(&dir).ok();
-    dir
-}
-
-#[test]
-fn killing_a_sharded_fleet_mid_run_still_resumes_to_identical_bytes() {
-    let (data, pool) = fixture();
-    let clean_out = tmp("fleet_kill_clean.json");
-    let resumed_out = tmp("fleet_kill_resumed.json");
-    let clean_dir = fresh_fleet_dir("fleet_kill_clean_dir");
-    let killed_dir = fresh_fleet_dir("fleet_kill_killed_dir");
-
-    let clean = run_search(&sharded_cmd(&data, &pool, &clean_out, &clean_dir));
-    assert!(
-        clean.status.success(),
-        "clean fleet failed: {}",
-        String::from_utf8_lossy(&clean.stderr)
-    );
-
-    // Kill the supervisor (taking every island down with it) as soon as
-    // shard 0's checkpoint lands on disk — i.e. mid-fleet, around the
-    // first elite-exchange barrier. All fleet writes are atomic (temp +
-    // rename), so whatever instant the kill hits, on-disk state is
-    // complete and the fleet must resume to the uninterrupted bytes.
-    let args = sharded_cmd(&data, &pool, &resumed_out, &killed_dir);
-    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_muffin"))
-        .args(&args)
-        .spawn()
-        .expect("spawn muffin binary");
-    let shard0 = std::path::Path::new(&killed_dir).join("shard-0.ckpt.json");
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
-    loop {
-        if std::fs::metadata(&shard0)
-            .map(|m| m.len() > 0)
-            .unwrap_or(false)
-        {
-            child.kill().ok();
-            break;
-        }
-        // If the fleet already finished, resuming is a no-op and the
-        // bytes still have to match — the race is benign either way.
-        if child.try_wait().expect("poll child").is_some() {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "no shard checkpoint appeared within 120s"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-    child.wait().expect("reap child");
-    std::fs::remove_file(&resumed_out).ok();
-
-    let mut resume_args = sharded_cmd(&data, &pool, &resumed_out, &killed_dir);
-    resume_args.push("--resume".to_string());
-    let resumed = run_search(&resume_args);
-    assert!(
-        resumed.status.success(),
-        "resumed fleet failed: {}",
-        String::from_utf8_lossy(&resumed.stderr)
-    );
-    assert_eq!(
-        std::fs::read_to_string(&clean_out).expect("clean outcome"),
-        std::fs::read_to_string(&resumed_out).expect("resumed outcome"),
-        "kill + resume diverged from the uninterrupted fleet"
-    );
-
-    for f in [clean_out, resumed_out] {
-        std::fs::remove_file(f).ok();
-    }
-    for d in [clean_dir, killed_dir] {
-        std::fs::remove_dir_all(d).ok();
-    }
-}
-
-#[test]
-fn corrupt_shard_checkpoints_are_rejected_naming_the_shard() {
-    let (data, pool) = fixture();
-    let out = tmp("fleet_corrupt_out.json");
-    let resumed_out = tmp("fleet_corrupt_resumed.json");
-    let dir = fresh_fleet_dir("fleet_corrupt_dir");
-
-    let clean = run_search(&sharded_cmd(&data, &pool, &out, &dir));
-    assert!(
-        clean.status.success(),
-        "fleet failed: {}",
-        String::from_utf8_lossy(&clean.stderr)
-    );
-
-    // Corrupt shard 1's checkpoint, then try to resume: the fleet must
-    // refuse loudly, naming the offending shard rather than silently
-    // recomputing or blaming the wrong file.
-    let shard1 = std::path::Path::new(&dir).join("shard-1.ckpt.json");
-    std::fs::write(&shard1, "{ definitely not a checkpoint").expect("corrupt shard checkpoint");
-    let mut resume_args = sharded_cmd(&data, &pool, &resumed_out, &dir);
-    resume_args.push("--resume".to_string());
-    let resumed = run_search(&resume_args);
-    assert!(
-        !resumed.status.success(),
-        "a corrupt shard checkpoint must fail the fleet"
-    );
-    let stderr = String::from_utf8_lossy(&resumed.stderr);
-    assert!(
-        stderr.contains("shard 1"),
-        "error must name the offending shard: {stderr}"
-    );
-
-    for f in [out, resumed_out] {
-        std::fs::remove_file(f).ok();
-    }
-    std::fs::remove_dir_all(dir).ok();
-}
-
 #[test]
 fn serve_answers_stdin_requests_and_shuts_down_cleanly_on_eof() {
     use std::io::Write as _;
@@ -1011,6 +873,36 @@ fn zero_slots_is_rejected_before_any_file_is_read() {
     }
     let created = std::path::Path::new(&out_dir).exists();
     assert!(!created, "a rejected matrix created --out-dir");
+}
+
+#[test]
+fn search_rejects_flags_it_does_not_read_before_any_file_is_read() {
+    // A typo of --episodes, and a flag of the removed sharded fleet: each
+    // must fail naming the flag, before the (nonexistent) data is loaded
+    // and without writing --out.
+    let out = tmp("unknown_flag_outcome.json");
+    std::fs::remove_file(&out).ok();
+    for (flag, value) in [("--episode", "3"), ("--shards", "2")] {
+        let args = [
+            "search",
+            "--data",
+            "/nonexistent/data.json",
+            "--pool",
+            "/nonexistent/pool.json",
+            "--attrs",
+            "age",
+            "--out",
+            &out,
+            flag,
+            value,
+        ];
+        let result = muffin(&args);
+        let stderr = String::from_utf8_lossy(&result.stderr);
+        assert_eq!(result.status.code(), Some(1), "{flag}: {stderr}");
+        assert!(stderr.contains(flag), "{flag}: {stderr}");
+        assert!(!stderr.contains("/nonexistent"), "{flag}: {stderr}");
+        assert!(!std::path::Path::new(&out).exists(), "{flag} wrote --out");
+    }
 }
 
 #[test]

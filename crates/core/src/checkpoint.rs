@@ -14,14 +14,15 @@
 //!   an uninterrupted run at any worker count (enforced by the
 //!   golden-snapshot suite).
 //! * [`EvalCacheFile`] — just the evaluation cache, shared **across**
-//!   runs: a repeated search over the same space skips already-trained
+//!   runs of one recipe and seed: a repeated search skips already-trained
 //!   candidates and reports each skip on the `search.cache_hit_disk`
 //!   trace counter.
 //!
 //! Both artifacts carry a [`SearchFingerprint`] identifying the exact
 //! run they belong to. Loading rejects loudly
 //! ([`MuffinError::StaleArtifact`]) on any mismatch rather than silently
-//! producing a drifted search.
+//! producing a drifted search, and a cache write never merges in records
+//! of another run, so a cache changes wall-clock time, never the outcome.
 //!
 //! [`SearchOutcome`]: crate::SearchOutcome
 
@@ -34,10 +35,9 @@ use std::path::Path;
 /// Format version written into every checkpoint and eval-cache file.
 /// Bumped whenever the serialised layout changes incompatibly; loading a
 /// file with a different version is a [`MuffinError::StaleArtifact`].
-/// Version 2 added [`SearchCheckpoint::exchanges_applied`] for sharded
-/// elite exchange; version 3 added the per-model
-/// [`PoolManifest`] to [`SearchFingerprint`] for content-addressed pool
-/// lifecycle.
+/// Version 2 added [`SearchCheckpoint::exchanges_applied`] (always 0);
+/// version 3 added the per-model [`PoolManifest`] to
+/// [`SearchFingerprint`] for content-addressed pool lifecycle.
 pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// The 64-bit FNV-1a hash, used to fingerprint the model pool and the
@@ -113,12 +113,13 @@ impl SearchFingerprint {
         self.mismatch_ignoring_rng(other)
     }
 
-    /// Like [`Self::mismatch`] but ignores the caller-RNG entry state.
+    /// Like [`Self::mismatch`] but ignores the caller-RNG entry state:
+    /// the rule [`EvalCacheFile::load_warm`] applies when `shared` is set.
     ///
-    /// This is the matching rule for artifacts **shared across seeds**:
-    /// a sharded fleet's islands run distinct controller seeds but train
-    /// candidates on identical pool/data/config, so their evaluations are
-    /// interchangeable even though their trajectories differ.
+    /// A record written under another seed is a valid evaluation of its
+    /// candidate, but with that seed's head seed, so a run that consumes
+    /// it no longer reproduces its own cold outcome. Every search and
+    /// every cache write uses the strict [`Self::mismatch`].
     pub fn mismatch_ignoring_rng(&self, other: &Self) -> Option<String> {
         if muffin_json::to_string(&self.config) != muffin_json::to_string(&other.config) {
             return Some("search configuration changed".to_string());
@@ -161,7 +162,7 @@ impl SearchFingerprint {
     /// or reordered models — is an error naming what changed.
     ///
     /// `ignore_rng` matches [`Self::mismatch_ignoring_rng`]: pass `true`
-    /// for cross-seed shared artifacts (fleet caches).
+    /// to accept artifacts written under another seed.
     ///
     /// # Errors
     ///
@@ -245,11 +246,8 @@ pub struct SearchCheckpoint {
     /// The evaluation cache, sorted by action vector for a deterministic
     /// serialisation.
     pub cache: Vec<EpisodeRecord>,
-    /// Number of sharded elite-exchange rounds already folded into
-    /// `controller` (see [`crate::run_sharded`]). The supervisor bumps
-    /// this **before** launching the post-exchange segment, so a crash
-    /// between the nudge and the segment can never apply the same
-    /// exchange twice. Plain (non-sharded) runs leave it at zero.
+    /// Always written as 0. Kept so that the version-3 layout and the
+    /// struct literal in `e2e-bench`'s checkpoint replica stay valid.
     pub exchanges_applied: u32,
 }
 
@@ -402,26 +400,18 @@ impl EvalCacheFile {
         path: impl AsRef<Path>,
         expected: &SearchFingerprint,
     ) -> Result<Option<Self>, MuffinError> {
-        Self::load_impl(path.as_ref(), expected, false)
-    }
-
-    /// Loads a cache in **shared** mode: the fingerprint must match
-    /// `expected` on everything except the caller-RNG entry state
-    /// ([`SearchFingerprint::mismatch_ignoring_rng`]).
-    ///
-    /// This is how sharded-search islands read the fleet cache: every
-    /// island has a distinct controller seed, but candidate evaluations
-    /// depend only on (config, space, pool, data), so records written
-    /// under any island's seed are valid for all of them.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::load`].
-    pub fn load_shared(
-        path: impl AsRef<Path>,
-        expected: &SearchFingerprint,
-    ) -> Result<Option<Self>, MuffinError> {
-        Self::load_impl(path.as_ref(), expected, true)
+        let path = path.as_ref();
+        let Some(cache) = Self::parse_checked(path)? else {
+            return Ok(None);
+        };
+        if let Some(what) = expected.mismatch(&cache.fingerprint) {
+            return Err(MuffinError::StaleArtifact(format!(
+                "eval cache {} belongs to a different run: {what} — \
+                 delete it or pass a fresh path",
+                path.display()
+            )));
+        }
+        Ok(Some(cache))
     }
 
     /// Loads a cache for a run whose pool may have **grown** since the
@@ -432,7 +422,9 @@ impl EvalCacheFile {
     /// [`PoolRelation::Grew`] means the cache was written against a
     /// prefix of the current pool — call [`Self::rekey_records`] before
     /// use so every record's slot entries index the current pool.
-    /// `shared` selects the cross-seed rule of [`Self::load_shared`].
+    /// `shared` accepts a cache written under another seed
+    /// ([`SearchFingerprint::mismatch_ignoring_rng`]); searches pass
+    /// `false`.
     ///
     /// # Errors
     ///
@@ -489,29 +481,6 @@ impl EvalCacheFile {
         before - self.records.len()
     }
 
-    fn load_impl(
-        path: &Path,
-        expected: &SearchFingerprint,
-        ignore_rng: bool,
-    ) -> Result<Option<Self>, MuffinError> {
-        let Some(cache) = Self::parse_checked(path)? else {
-            return Ok(None);
-        };
-        let what = if ignore_rng {
-            expected.mismatch_ignoring_rng(&cache.fingerprint)
-        } else {
-            expected.mismatch(&cache.fingerprint)
-        };
-        if let Some(what) = what {
-            return Err(MuffinError::StaleArtifact(format!(
-                "eval cache {} belongs to a different run: {what} — \
-                 delete it or pass a fresh path",
-                path.display()
-            )));
-        }
-        Ok(Some(cache))
-    }
-
     /// Reads, parses and version-checks a cache file, without any
     /// fingerprint comparison. Missing or empty files are `Ok(None)`.
     fn parse_checked(path: &Path) -> Result<Option<Self>, MuffinError> {
@@ -556,10 +525,12 @@ impl EvalCacheFile {
     /// conflict-free; on a duplicate key the existing record wins), and
     /// only then renames the merged snapshot into place.
     ///
-    /// Existing content that does not parse or belongs to a different run
-    /// (checked with [`SearchFingerprint::mismatch_ignoring_rng`], the
-    /// shared-mode rule) is treated as absent and overwritten, matching
-    /// [`Self::save`].
+    /// Only a file [`Self::load`] accepts under this cache's own
+    /// fingerprint is merged. Existing content that does not parse or
+    /// belongs to a different run — another seed included — is treated
+    /// as absent and overwritten, matching [`Self::save`], so records
+    /// trained from another seed's head seeds never enter this run's
+    /// cache.
     ///
     /// A lock older than ten seconds is presumed abandoned (writer
     /// crashed between `create_new` and the guard drop) and is stolen.
@@ -576,7 +547,7 @@ impl EvalCacheFile {
             .iter()
             .map(|r| (r.actions.clone(), r.clone()))
             .collect();
-        if let Ok(Some(existing)) = Self::load_shared(path, &self.fingerprint) {
+        if let Ok(Some(existing)) = Self::load(path, &self.fingerprint) {
             for record in existing.records {
                 merged.insert(record.actions.clone(), record);
             }
@@ -668,17 +639,9 @@ pub struct PersistenceOptions {
     /// exist, parse, and fingerprint-match the current run.
     pub resume: bool,
     /// Cross-run evaluation cache file: loaded (if present) before the
-    /// run and rewritten with the merged cache afterwards.
+    /// run and rewritten with the merged cache afterwards
+    /// ([`EvalCacheFile::save_merged`]).
     pub eval_cache: Option<std::path::PathBuf>,
-    /// Load the eval cache in shared mode
-    /// ([`EvalCacheFile::load_shared`]): accept records written under a
-    /// different caller-RNG seed. Used by sharded-search islands reading
-    /// the fleet cache.
-    pub eval_cache_shared: bool,
-    /// Never write the eval cache back — treat it as a read-only input
-    /// snapshot. Sharded islands set this so only the supervisor mutates
-    /// fleet cache files, and only at round barriers.
-    pub eval_cache_read_only: bool,
     /// Stop at the first batch boundary ≥ this episode count, write a
     /// checkpoint, and return [`MuffinError::Halted`]. Simulates a kill
     /// deterministically; requires `checkpoint`.
@@ -709,18 +672,6 @@ impl PersistenceOptions {
     /// Sets the cross-run evaluation cache file.
     pub fn with_eval_cache(mut self, path: impl Into<std::path::PathBuf>) -> Self {
         self.eval_cache = Some(path.into());
-        self
-    }
-
-    /// Loads the eval cache in shared (rng-agnostic) mode.
-    pub fn with_eval_cache_shared(mut self, shared: bool) -> Self {
-        self.eval_cache_shared = shared;
-        self
-    }
-
-    /// Treats the eval cache as a read-only input snapshot.
-    pub fn with_eval_cache_read_only(mut self, read_only: bool) -> Self {
-        self.eval_cache_read_only = read_only;
         self
     }
 
@@ -1088,14 +1039,15 @@ mod tests {
         let err = EvalCacheFile::load(&path, &fingerprint(0)).unwrap_err();
         assert!(err.to_string().contains("rng seed/state"), "{err}");
         // Shared load: accepted.
-        let loaded = EvalCacheFile::load_shared(&path, &fingerprint(0))
+        let (loaded, relation) = EvalCacheFile::load_warm(&path, &fingerprint(0), true)
             .expect("shared load")
             .expect("present");
         assert_eq!(loaded.records.len(), 1);
+        assert_eq!(relation, PoolRelation::Identical);
         // Shared load still rejects a genuinely different run.
         let mut other = fingerprint(0);
         other.pool_hash ^= 1;
-        let err = EvalCacheFile::load_shared(&path, &other).unwrap_err();
+        let err = EvalCacheFile::load_warm(&path, &other, true).unwrap_err();
         assert!(err.to_string().contains("model pool"), "{err}");
         std::fs::remove_file(path).ok();
     }
@@ -1128,6 +1080,34 @@ mod tests {
         let actions: Vec<Vec<usize>> = merged.records.iter().map(|r| r.actions.clone()).collect();
         assert_eq!(actions, vec![vec![1, 2], vec![2, 3], vec![3, 4]]);
         assert!(!path.with_extension("json.lock").exists());
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn save_merged_never_merges_a_cache_written_under_another_seed() {
+        let dir = std::env::temp_dir().join("muffin_ckpt_unit_seeds");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("cache.json");
+        std::fs::remove_file(&path).ok();
+        let write = |seed_word: u64, tag: usize| {
+            EvalCacheFile {
+                version: CHECKPOINT_VERSION,
+                fingerprint: fingerprint(seed_word),
+                records: vec![record(tag)],
+            }
+            .save_merged(&path)
+            .expect("merged write");
+        };
+        write(7, 1);
+        write(0, 2);
+
+        // The seed-7 record was trained from another seed's head seed: a
+        // strict load under seed 0 must see only this run's record.
+        let loaded = EvalCacheFile::load(&path, &fingerprint(0))
+            .expect("load")
+            .expect("present");
+        let actions: Vec<Vec<usize>> = loaded.records.iter().map(|r| r.actions.clone()).collect();
+        assert_eq!(actions, vec![vec![2, 3]]);
         std::fs::remove_file(path).ok();
     }
 

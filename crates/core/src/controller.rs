@@ -456,36 +456,6 @@ impl RnnController {
         self.rollout(muffin_tensor::argmax)
     }
 
-    /// Teacher-forced rollout of a fixed action sequence: re-derives the
-    /// forward caches and log-probabilities that `actions` has under the
-    /// *current* policy, so an episode sampled elsewhere (e.g. an elite
-    /// from another search island) can feed [`Self::update_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MuffinError::InvalidConfig`] when `actions` has the
-    /// wrong length for this controller's space or any action index is
-    /// out of range for its step.
-    pub fn replay(&self, actions: &[usize]) -> Result<SampledEpisode, MuffinError> {
-        let sizes = self.space.step_sizes();
-        if actions.len() != sizes.len() {
-            return Err(MuffinError::InvalidConfig(format!(
-                "replay expects {} actions, got {}",
-                sizes.len(),
-                actions.len()
-            )));
-        }
-        for (t, (&action, &size)) in actions.iter().zip(sizes.iter()).enumerate() {
-            if action >= size {
-                return Err(MuffinError::InvalidConfig(format!(
-                    "replay action {action} out of range at step {t} (size {size})"
-                )));
-            }
-        }
-        let mut next = actions.iter();
-        Ok(self.rollout(|_| *next.next().expect("length validated above")))
-    }
-
     /// Applies one REINFORCE update (paper Eq. 4 with `m = 1`) for
     /// `episode` with the observed `reward`. Returns the advantage
     /// `R − b` used.
@@ -1102,37 +1072,6 @@ mod tests {
             probs.iter().all(|&p| p > 0.005),
             "entropy keeps support: {probs:?}"
         );
-    }
-
-    #[test]
-    fn replay_reproduces_sampled_episode_bit_identically() {
-        let mut rng = Rng64::seed(13);
-        let controller = RnnController::new(space(), ControllerConfig::default(), &mut rng);
-        let sampled = controller.sample(&mut rng);
-        let replayed = controller.replay(&sampled.actions).expect("valid actions");
-        assert_eq!(replayed.actions, sampled.actions);
-        for (a, b) in sampled.log_probs.iter().zip(&replayed.log_probs) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn replay_rejects_malformed_action_vectors() {
-        let mut rng = Rng64::seed(14);
-        let controller = RnnController::new(space(), ControllerConfig::default(), &mut rng);
-        let good = controller.greedy().actions;
-        let mut short = good.clone();
-        short.pop();
-        assert!(matches!(
-            controller.replay(&short),
-            Err(MuffinError::InvalidConfig(_))
-        ));
-        let mut out_of_range = good;
-        out_of_range[0] = usize::MAX;
-        assert!(matches!(
-            controller.replay(&out_of_range),
-            Err(MuffinError::InvalidConfig(_))
-        ));
     }
 
     #[test]

@@ -62,35 +62,6 @@ impl HalvingConfig {
     }
 }
 
-/// Splits an evaluation budget of `total` candidates across `rungs`
-/// rungs in geometrically decreasing proportions `keep_fraction^r`,
-/// conserving the total exactly.
-///
-/// Fractional shares are floored and the remainder is handed out one
-/// evaluation at a time to the earliest rungs, so the result is always
-/// non-increasing across rungs and sums to `total`. `keep_fraction` is
-/// clamped into `(0, 1]`; zero `rungs` yields an empty allocation.
-pub fn rung_budgets(total: u32, rungs: u32, keep_fraction: f32) -> Vec<u32> {
-    if rungs == 0 {
-        return Vec::new();
-    }
-    let keep = f64::from(keep_fraction).clamp(1e-6, 1.0);
-    let weights: Vec<f64> = (0..rungs).map(|r| keep.powi(r as i32)).collect();
-    let weight_sum: f64 = weights.iter().sum();
-    let mut budgets: Vec<u32> = weights
-        .iter()
-        .map(|w| (f64::from(total) * w / weight_sum).floor() as u32)
-        .collect();
-    let mut remainder = total - budgets.iter().sum::<u32>();
-    let mut r = 0usize;
-    while remainder > 0 {
-        budgets[r] += 1;
-        remainder -= 1;
-        r = (r + 1) % budgets.len();
-    }
-    budgets
-}
-
 /// Number of candidates promoted out of a rung of `k`:
 /// `⌈k · keep_fraction⌉`, at least 1 and at most `k` (0 when the rung is
 /// empty).

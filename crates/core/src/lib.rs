@@ -72,7 +72,6 @@ mod report;
 mod reward;
 mod reward_variants;
 mod search;
-mod sharded;
 
 pub use analysis::{per_group_accuracy_table, DisagreementBreakdown, FusionComposition};
 pub use body_cache::BodyOutputCache;
@@ -87,7 +86,7 @@ pub use distill::{distill_student, DistillConfig, DistilledStudent};
 pub use error::MuffinError;
 pub use explain::{TrustReport, TrustSlice};
 pub use fusing::{FusingStructure, HeadSpec, HeadTrainConfig};
-pub use halving::{promote, promotion_count, rung_budgets, successive_halving, HalvingConfig};
+pub use halving::{promote, promotion_count, successive_halving, HalvingConfig};
 pub use pareto::{dominates_min, pareto_max_min_indices, pareto_min_indices};
 pub use privilege::PrivilegeMap;
 pub use proxy::ProxyDataset;
@@ -96,7 +95,6 @@ pub use report::{fmt_improvement, fmt_percent, TextTable};
 pub use reward::{multi_fairness_reward, RewardConfig};
 pub use reward_variants::RewardKind;
 pub use search::{EpisodeRecord, MuffinSearch, SearchConfig, SearchOutcome};
-pub use sharded::{merge_shard_histories, run_sharded, ShardedConfig};
 
 // Re-exported so downstream users (CLI, benches) size and share one pool
 // without depending on `muffin-par` directly.

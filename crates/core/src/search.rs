@@ -347,10 +347,6 @@ struct LoopState {
     cache: HashMap<Vec<usize>, EpisodeRecord>,
     /// Action vectors whose records were loaded from the eval-cache file.
     disk_origin: HashSet<Vec<usize>>,
-    /// Round-tripped verbatim into every checkpoint this run writes: the
-    /// sharded supervisor owns this counter, the search loop only
-    /// preserves it across a resume.
-    exchanges_applied: u32,
     best_idx: usize,
     best_reward: f32,
     /// Episode of the last checkpoint written (or resumed from).
@@ -368,60 +364,6 @@ impl LoopState {
     }
 }
 
-/// Checks `config` against `pool` and `split` — the one validation both
-/// constructors share — returning the controller's search space and the
-/// target attributes' ids.
-fn validate(
-    pool: &ModelPool,
-    split: &DatasetSplit,
-    config: &SearchConfig,
-) -> Result<(SearchSpace, Vec<AttributeId>), MuffinError> {
-    if pool.is_empty() {
-        return Err(MuffinError::EmptyPool);
-    }
-    if config.episodes == 0 {
-        return Err(MuffinError::InvalidConfig(
-            "episodes must be positive".into(),
-        ));
-    }
-    if config.reinforce_batch == 0 {
-        return Err(MuffinError::InvalidConfig(
-            "reinforce_batch must be positive".into(),
-        ));
-    }
-    if let Some(&bad) = config.required_models.iter().find(|&&i| i >= pool.len()) {
-        return Err(MuffinError::InvalidConfig(format!(
-            "required model {bad} out of range for pool of {}",
-            pool.len()
-        )));
-    }
-    let space = match &config.space {
-        Some(space) if space.pool_size() != pool.len() => {
-            return Err(MuffinError::InvalidConfig(format!(
-                "config.space is over a pool of {}, actual pool has {}",
-                space.pool_size(),
-                pool.len()
-            )))
-        }
-        Some(space) => space.clone(),
-        None => SearchSpace::paper_default(pool.len())
-            .with_slots(config.num_slots)?
-            .with_required_models(config.required_models.clone())?,
-    };
-    let attrs = config
-        .target_attributes
-        .iter()
-        .map(|name| {
-            split
-                .train
-                .schema()
-                .by_name(name)
-                .ok_or_else(|| MuffinError::UnknownAttribute(name.clone()))
-        })
-        .collect::<Result<_, _>>()?;
-    Ok((space, attrs))
-}
-
 impl MuffinSearch {
     /// Prepares a search: infers the privilege map from the pool on the
     /// validation split and builds the Algorithm-1 proxy dataset.
@@ -437,24 +379,50 @@ impl MuffinSearch {
         split: DatasetSplit,
         config: SearchConfig,
     ) -> Result<Self, MuffinError> {
-        let (_, attrs) = validate(&pool, &split, &config)?;
+        if pool.is_empty() {
+            return Err(MuffinError::EmptyPool);
+        }
+        if config.episodes == 0 {
+            return Err(MuffinError::InvalidConfig(
+                "episodes must be positive".into(),
+            ));
+        }
+        if config.reinforce_batch == 0 {
+            return Err(MuffinError::InvalidConfig(
+                "reinforce_batch must be positive".into(),
+            ));
+        }
+        if let Some(&bad) = config.required_models.iter().find(|&&i| i >= pool.len()) {
+            return Err(MuffinError::InvalidConfig(format!(
+                "required model {bad} out of range for pool of {}",
+                pool.len()
+            )));
+        }
+        let space = match &config.space {
+            Some(space) if space.pool_size() != pool.len() => {
+                return Err(MuffinError::InvalidConfig(format!(
+                    "config.space is over a pool of {}, actual pool has {}",
+                    space.pool_size(),
+                    pool.len()
+                )))
+            }
+            Some(space) => space.clone(),
+            None => SearchSpace::paper_default(pool.len())
+                .with_slots(config.num_slots)?
+                .with_required_models(config.required_models.clone())?,
+        };
+        let attrs: Vec<AttributeId> = config
+            .target_attributes
+            .iter()
+            .map(|name| {
+                split
+                    .train
+                    .schema()
+                    .by_name(name)
+                    .ok_or_else(|| MuffinError::UnknownAttribute(name.clone()))
+            })
+            .collect::<Result<_, _>>()?;
         let privilege = PrivilegeMap::infer(&pool, &split.val, &attrs, config.privilege_margin);
-        Self::with_privilege(pool, split, config, privilege)
-    }
-
-    /// Prepares a search with an explicitly provided privilege map
-    /// (skipping inference).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MuffinSearch::new`].
-    pub fn with_privilege(
-        pool: ModelPool,
-        split: DatasetSplit,
-        config: SearchConfig,
-        privilege: PrivilegeMap,
-    ) -> Result<Self, MuffinError> {
-        let (space, _) = validate(&pool, &split, &config)?;
         let proxy = ProxyDataset::build(&split.train, &privilege)?;
         Ok(Self {
             pool,
@@ -494,7 +462,7 @@ impl MuffinSearch {
         &self.split
     }
 
-    /// The inferred (or supplied) privilege map.
+    /// The privilege map inferred from the pool.
     pub fn privilege(&self) -> &PrivilegeMap {
         &self.privilege
     }
@@ -825,7 +793,6 @@ impl MuffinSearch {
             history: Vec::new(),
             cache: HashMap::new(),
             disk_origin: HashSet::new(),
-            exchanges_applied: 0,
             best_idx: 0,
             best_reward: f32::MIN,
             last_checkpoint: 0,
@@ -845,7 +812,7 @@ impl MuffinSearch {
         }
         if let Some(path) = &opts.eval_cache {
             let fp = fingerprint.expect("eval cache path set");
-            self.warm_from_eval_cache(&mut state, path, fp, opts.eval_cache_shared)?;
+            self.warm_from_eval_cache(&mut state, path, fp)?;
         }
 
         // After a pool extension, the cached records were re-keyed through
@@ -978,7 +945,6 @@ impl MuffinSearch {
         state.seed_stream_seed = ckpt.seed_stream_seed;
         state.episode = ckpt.episode;
         state.history = ckpt.history;
-        state.exchanges_applied = ckpt.exchanges_applied;
         for record in ckpt.cache {
             state.cache.insert(record.actions.clone(), record);
         }
@@ -1000,10 +966,8 @@ impl MuffinSearch {
         state: &mut LoopState,
         path: &std::path::Path,
         fingerprint: &SearchFingerprint,
-        shared: bool,
     ) -> Result<(), MuffinError> {
-        let Some((mut file, relation)) = EvalCacheFile::load_warm(path, fingerprint, shared)?
-        else {
+        let Some((mut file, relation)) = EvalCacheFile::load_warm(path, fingerprint, false)? else {
             return Ok(());
         };
         if matches!(relation, PoolRelation::Grew { .. }) {
@@ -1201,7 +1165,7 @@ impl MuffinSearch {
             controller: state.controller.export_state(),
             history: state.history.clone(),
             cache: state.cache_records(),
-            exchanges_applied: state.exchanges_applied,
+            exchanges_applied: 0,
         }
         .save(path)?;
         state.last_checkpoint = state.episode;
@@ -1212,7 +1176,6 @@ impl MuffinSearch {
     /// Rewrites the cross-run evaluation cache (when configured) with the
     /// union of what was loaded and what this run evaluated, merging with
     /// any concurrent writer's entries ([`EvalCacheFile::save_merged`]).
-    /// A no-op when the options mark the cache read-only.
     fn write_eval_cache(
         &self,
         opts: &PersistenceOptions,
@@ -1222,9 +1185,6 @@ impl MuffinSearch {
         let (Some(path), Some(fp)) = (&opts.eval_cache, fingerprint) else {
             return Ok(());
         };
-        if opts.eval_cache_read_only {
-            return Ok(());
-        }
         EvalCacheFile {
             version: CHECKPOINT_VERSION,
             fingerprint: fp.clone(),
@@ -1294,9 +1254,8 @@ mod tests {
         assert!(matches!(err, MuffinError::InvalidConfig(_)));
     }
 
-    /// A one-model pool and split, plus a privilege map over `age`, for
-    /// exercising constructor validation.
-    fn validation_fixture() -> (ModelPool, DatasetSplit, PrivilegeMap) {
+    #[test]
+    fn both_constructors_reject_the_same_bad_configs() {
         let mut rng = Rng64::seed(3);
         let split = IsicLike::small().generate(&mut rng).split_default(&mut rng);
         let pool = ModelPool::train(
@@ -1305,14 +1264,6 @@ mod tests {
             &BackboneConfig::fast(),
             &mut rng,
         );
-        let mut privilege = PrivilegeMap::new();
-        privilege.set(split.train.schema().by_name("age").unwrap(), vec![4, 5]);
-        (pool, split, privilege)
-    }
-
-    #[test]
-    fn both_constructors_reject_the_same_bad_configs() {
-        let (pool, split, privilege) = validation_fixture();
         let config = || SearchConfig::fast(&["age"]);
         // Each bad config, with the word its error message must name.
         let bad = [
@@ -1322,24 +1273,12 @@ mod tests {
             ("required model", config().with_required_models(vec![1])),
         ];
         for (named, config) in bad {
-            let inferred = MuffinSearch::new(pool.clone(), split.clone(), config.clone());
-            let supplied = MuffinSearch::with_privilege(
-                pool.clone(),
-                split.clone(),
-                config,
-                privilege.clone(),
+            let err = MuffinSearch::new(pool.clone(), split.clone(), config).unwrap_err();
+            assert!(
+                matches!(&err, MuffinError::InvalidConfig(m) if m.contains(named)),
+                "{named}: {err:?}"
             );
-            for err in [inferred.unwrap_err(), supplied.unwrap_err()] {
-                assert!(
-                    matches!(&err, MuffinError::InvalidConfig(m) if m.contains(named)),
-                    "{named}: {err:?}"
-                );
-            }
         }
-        let err =
-            MuffinSearch::with_privilege(pool, split, SearchConfig::fast(&["nope"]), privilege)
-                .unwrap_err();
-        assert_eq!(err, MuffinError::UnknownAttribute("nope".into()));
     }
 
     #[test]

@@ -1,108 +1,14 @@
-//! Property tests for the successive-halving primitives: rung budget
-//! allocation must conserve the screening total, promotion must keep the
-//! top fraction under IEEE `total_cmp` while never promoting NaN rewards,
-//! and degenerate inputs (one candidate, budget smaller than the rung
-//! count, all-NaN reward vectors) must not panic. Runs on the in-repo
-//! `muffin-check` harness with pinned seeds.
+//! Property tests for the successive-halving primitives: promotion must
+//! keep the top fraction under IEEE `total_cmp` while never promoting NaN
+//! rewards, and degenerate inputs (one candidate, empty and all-NaN
+//! reward vectors) must not panic. Runs on the in-repo `muffin-check`
+//! harness with pinned seeds.
 
-use muffin::{promote, promotion_count, rung_budgets};
+use muffin::{promote, promotion_count};
 use muffin_check::{check, prop_assert, prop_assert_eq, Config, Gen, Shrink};
 
 fn config() -> Config {
     Config::cases(64).with_seed(0x7E45_0800)
-}
-
-/// A random budget-allocation request: total evaluations, rung count, and
-/// the keep fraction. Shrinking moves each field toward its domain
-/// minimum, so shrink candidates stay valid requests.
-#[derive(Clone, Debug)]
-struct BudgetCase {
-    total: u32,         // 0..=500 — includes budget < rungs
-    rungs: u32,         // 1..=8
-    keep_fraction: f32, // 0.05..=0.95
-}
-
-impl BudgetCase {
-    fn generate(g: &mut Gen) -> Self {
-        Self {
-            total: g.usize_in(0..=500) as u32,
-            rungs: g.usize_in(1..=8) as u32,
-            keep_fraction: g.f32_in(0.05, 0.95),
-        }
-    }
-}
-
-impl Shrink for BudgetCase {
-    fn shrink_candidates(&self) -> Vec<Self> {
-        let mut out = Vec::new();
-        if self.total > 0 {
-            out.push(Self {
-                total: 0,
-                ..self.clone()
-            });
-            out.push(Self {
-                total: self.total / 2,
-                ..self.clone()
-            });
-        }
-        if self.rungs > 1 {
-            out.push(Self {
-                rungs: 1,
-                ..self.clone()
-            });
-            out.push(Self {
-                rungs: self.rungs / 2,
-                ..self.clone()
-            });
-        }
-        if self.keep_fraction != 0.5 {
-            out.push(Self {
-                keep_fraction: 0.5,
-                ..self.clone()
-            });
-        }
-        out
-    }
-}
-
-#[test]
-fn rung_budgets_conserve_the_total() {
-    check(
-        "rung budgets conserve the total",
-        config(),
-        BudgetCase::generate,
-        |case| {
-            let budgets = rung_budgets(case.total, case.rungs, case.keep_fraction);
-            prop_assert_eq!(budgets.len(), case.rungs as usize);
-            prop_assert_eq!(budgets.iter().sum::<u32>(), case.total);
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn rung_budgets_are_non_increasing_and_front_loaded() {
-    check(
-        "rung budgets are non-increasing",
-        config(),
-        BudgetCase::generate,
-        |case| {
-            let budgets = rung_budgets(case.total, case.rungs, case.keep_fraction);
-            prop_assert!(
-                budgets.windows(2).all(|w| w[0] >= w[1]),
-                "later rungs never get more budget than earlier ones: {budgets:?}"
-            );
-            // A non-empty total always funds the first (cheapest) rung first.
-            if case.total > 0 {
-                prop_assert!(
-                    budgets[0] > 0,
-                    "rung 0 starved despite total {}",
-                    case.total
-                );
-            }
-            Ok(())
-        },
-    );
 }
 
 /// A random reward vector with a controllable NaN rate, plus the keep
@@ -245,21 +151,11 @@ fn promotion_count_is_clamped_to_valid_bounds() {
     );
 }
 
-// Degenerate inputs exercised with fixed values: these are the exact edge
-// cases the sharded screen can produce, so they get explicit coverage in
-// addition to whatever the generators happen to draw.
+// Degenerate inputs exercised with fixed values, so they get explicit
+// coverage in addition to whatever the generators happen to draw.
 
 #[test]
 fn degenerate_inputs_do_not_panic() {
-    // Budget smaller than the rung count: later rungs get zero, total conserved.
-    let starved = rung_budgets(3, 8, 0.5);
-    assert_eq!(starved.iter().sum::<u32>(), 3);
-    assert_eq!(starved.len(), 8);
-
-    // Zero rungs yields an empty schedule, zero total a zeroed one.
-    assert!(rung_budgets(10, 0, 0.5).is_empty());
-    assert_eq!(rung_budgets(0, 3, 0.5), vec![0, 0, 0]);
-
     // A single candidate always survives promotion regardless of fraction.
     assert_eq!(promote(&[0.25], 0.01), vec![0]);
     assert_eq!(promotion_count(1, 0.01), 1);
@@ -267,8 +163,4 @@ fn degenerate_inputs_do_not_panic() {
     // Empty and all-NaN reward vectors promote nothing.
     assert!(promote(&[], 0.5).is_empty());
     assert!(promote(&[f32::NAN, f32::NAN], 0.5).is_empty());
-
-    // Extreme keep fractions are clamped rather than dividing by zero.
-    assert_eq!(rung_budgets(10, 2, 0.0).iter().sum::<u32>(), 10);
-    assert_eq!(rung_budgets(10, 2, 1.0), vec![5, 5]);
 }

@@ -45,8 +45,8 @@ for doc in $DOCS; do
     unset IFS
 done
 
-# Cross-document section references ("docs/OPERATIONS.md §12", "DESIGN.md
-# §14") are plain text, not links, so the link walk above can't see them
+# Cross-document section references ("docs/OPERATIONS.md §11", "DESIGN.md
+# §13") are plain text, not links, so the link walk above can't see them
 # rot. Verify that every "<doc> §N" reference points at a real "## N."
 # heading in the referenced file.
 for doc in $DOCS; do

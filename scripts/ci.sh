@@ -66,12 +66,8 @@ cargo run -q --release --offline -p muffin-cli -- pool gc \
     --outcome target/muffin-pool-smoke/outcome.json --dry-run
 cmp target/muffin-pool-smoke/pool.json target/muffin-pool-smoke/pool.before.json
 
-echo "==> sharded fleet: merge determinism + halving properties"
-cargo test -q --offline -p muffin-integration-tests --test sharded_equivalence
+echo "==> successive-halving promotion properties"
 cargo test -q --offline -p muffin --test proptest_halving
-
-echo "==> sharded fleet smoke (wall-clock vs shard slots, byte-equality gated)"
-sh scripts/bench-sharded.sh target/muffin-sharded-smoke
 
 echo "==> body-output cache equivalence"
 cargo test -q --offline -p muffin-integration-tests --test body_cache_equivalence
