@@ -15,6 +15,7 @@ muffin — multi-dimension AI fairness by uniting off-the-shelf models
 
 USAGE:
   muffin <COMMAND> [--key value]...
+  A flag the command does not take is rejected before any file is read.
 
 COMMANDS:
   generate    Generate a synthetic dataset
@@ -90,7 +91,6 @@ COMMANDS:
                 checkpoint — an operator drill for kill/resume)
               --verbose (print progress lines to stderr; without it the
                 run is silent apart from the result)
-              Any other flag is rejected before a file is read.
   matrix      Benchmark grid: one Muffin search per scenario × reward cell
               --scenarios a,b,... (required: registry names from
                 `docs/SCENARIOS.md` — e.g. isic-intersect, adult-income —
@@ -144,41 +144,128 @@ COMMANDS:
   help        Print this message
 ";
 
-/// Runs one CLI invocation. Returns the process exit code.
+/// A command's handler.
+type Handler = fn(&Args) -> Result<(), String>;
+
+/// Every command: its name, every flag its handler reads, and the handler.
+/// [`run`] rejects any other flag before the handler starts.
+const COMMANDS: &[(&str, &[&str], Handler)] = &[
+    ("generate", &["dataset", "samples", "seed", "out"], generate),
+    (
+        "train-pool",
+        &["data", "split-seed", "out", "archs", "epochs", "seed"],
+        train_pool,
+    ),
+    ("evaluate", &["data", "split-seed", "pool"], evaluate),
+    ("pool list", &["pool"], pool_list),
+    (
+        "pool add",
+        &["pool", "data", "split-seed", "archs", "epochs", "seed"],
+        pool_add,
+    ),
+    ("pool remove", &["pool", "model", "outcome"], pool_remove),
+    ("pool gc", &["pool", "outcome", "dry-run"], pool_gc),
+    (
+        "search",
+        &[
+            "data",
+            "pool",
+            "split-seed",
+            "attrs",
+            "out",
+            "episodes",
+            "slots",
+            "seed",
+            "batch",
+            "workers",
+            "trace-out",
+            "verbose",
+            "checkpoint",
+            "checkpoint-every",
+            "resume",
+            "eval-cache",
+            "stop-after",
+            "distill-out",
+            "student-hidden",
+        ],
+        search,
+    ),
+    (
+        "matrix",
+        &[
+            "scenarios",
+            "rewards",
+            "episodes",
+            "samples",
+            "slots",
+            "batch",
+            "epochs",
+            "seed",
+            "workers",
+            "out-dir",
+            "cache-dir",
+            "bench-out",
+            "verbose",
+            "archs",
+        ],
+        crate::matrix::matrix,
+    ),
+    (
+        "serve",
+        &["queue-depth", "batch", "workers", "worker-delay-us", "seed"],
+        serve,
+    ),
+    (
+        "loadgen",
+        &[
+            "queue-depth",
+            "batch",
+            "workers",
+            "worker-delay-us",
+            "seed",
+            "clients",
+            "requests",
+            "out",
+            "trace-out",
+            "verbose",
+        ],
+        loadgen,
+    ),
+    ("report", &["outcome", "top"], report),
+    ("trace summarize", &["trace"], trace_summarize),
+    ("help", &[], help),
+];
+
+/// Runs one CLI invocation.
 ///
 /// All output goes to stdout; errors are returned as strings for `main`
-/// to print on stderr.
+/// to print on stderr. A flag the command does not read is rejected
+/// before any file is read or written.
 ///
 /// # Errors
 ///
 /// Returns a human-readable message for any argument, IO or pipeline
 /// failure.
 pub fn run(args: &Args) -> Result<(), String> {
-    match args.command() {
-        "generate" => generate(args),
-        "train-pool" => train_pool(args),
-        "evaluate" => evaluate(args),
-        "pool list" => pool_list(args),
-        "pool add" => pool_add(args),
-        "pool remove" => pool_remove(args),
-        "pool gc" => pool_gc(args),
-        "search" => search(args),
-        "matrix" => crate::matrix::matrix(args),
-        "serve" => serve(args),
-        "loadgen" => loadgen(args),
-        "report" => report(args),
-        "trace summarize" => trace_summarize(args),
-        "help" | "--help" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command: {other}\n\n{USAGE}")),
-    }
+    let Some(&(_, flags, handler)) = COMMANDS.iter().find(|(name, ..)| *name == args.command())
+    else {
+        return Err(format!("unknown command: {}\n\n{USAGE}", args.command()));
+    };
+    args.reject_unknown(flags)?;
+    handler(args)
+}
+
+fn help(_: &Args) -> Result<(), String> {
+    println!("{USAGE}");
+    Ok(())
 }
 
 fn generate(args: &Args) -> Result<(), String> {
     let out = args.require("out")?;
     let samples = args.get_usize("samples", 8_000)?;
+    if samples == 0 {
+        return Err("--samples must be at least 1".into());
+    }
     let seed = args.get_u64("seed", 7)?;
     let mut rng = Rng64::seed(seed);
     let dataset = match args.get("dataset").unwrap_or("isic") {
@@ -422,33 +509,9 @@ fn pool_gc(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Every flag `search` reads.
-const SEARCH_FLAGS: &[&str] = &[
-    "data",
-    "pool",
-    "split-seed",
-    "attrs",
-    "out",
-    "episodes",
-    "slots",
-    "seed",
-    "batch",
-    "workers",
-    "trace-out",
-    "verbose",
-    "checkpoint",
-    "checkpoint-every",
-    "resume",
-    "eval-cache",
-    "stop-after",
-    "distill-out",
-    "student-hidden",
-];
-
 fn search(args: &Args) -> Result<(), String> {
     // Validate every argument before loading any file, so bad flags fail
     // fast even when the inputs are large.
-    args.reject_unknown(SEARCH_FLAGS)?;
     let out = args.require("out")?;
     let attrs = args.get_list("attrs");
     if attrs.is_empty() {

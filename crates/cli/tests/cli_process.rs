@@ -655,6 +655,36 @@ fn pool_lifecycle_extends_warm_resumes_and_guards_chosen_models() {
 }
 
 #[test]
+fn pool_lifecycle_rejects_an_outcome_whose_best_is_not_in_its_history() {
+    let (_, fixture_pool) = fixture();
+    let pool = tmp("bad_best_pool.json");
+    let outcome = tmp("bad_best_outcome.json");
+    std::fs::copy(&fixture_pool, &pool).expect("copy fixture pool");
+    std::fs::write(
+        &outcome,
+        r#"{"history":[],"best_by_reward":0,"target_attributes":["age"]}"#,
+    )
+    .expect("write outcome");
+    let before = std::fs::read(&pool).expect("pool bytes");
+    for command in [
+        format!("pool gc --pool {pool} --outcome {outcome}"),
+        format!("pool remove --pool {pool} --model ResNet-18 --outcome {outcome}"),
+    ] {
+        let args: Vec<&str> = command.split_whitespace().collect();
+        let result = muffin(&args);
+        let stderr = String::from_utf8_lossy(&result.stderr);
+        assert_eq!(result.status.code(), Some(1), "{command}: {stderr}");
+        assert!(stderr.contains("best_by_reward"), "{command}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{command}: {stderr}");
+        let after = std::fs::read(&pool).expect("pool bytes");
+        assert!(before == after, "{command} rewrote the pool");
+    }
+    for f in [pool, outcome] {
+        std::fs::remove_file(f).ok();
+    }
+}
+
+#[test]
 fn serve_answers_stdin_requests_and_shuts_down_cleanly_on_eof() {
     use std::io::Write as _;
     // The demo deployment is IsicLike-small: 24 features per request.
@@ -858,50 +888,80 @@ fn zero_slots_is_rejected_before_any_file_is_read() {
     // The input paths do not exist: the flag check must fire before any
     // file is opened, naming the flag instead of panicking.
     let out_dir = tmp("zero_slots_matrix");
+    let data = tmp("zero_samples_data.json");
+    std::fs::remove_file(&data).ok();
     let search = "search --data /nonexistent/data.json --pool /nonexistent/pool.json \
                   --attrs age --out /nonexistent/outcome.json --slots 0"
         .to_string();
     let matrix = format!("matrix --scenarios german-credit --out-dir {out_dir} --slots 0");
-    for command in [search, matrix] {
+    let isic = format!("generate --out {data} --samples 0");
+    let fitzpatrick = format!("generate --dataset fitzpatrick --out {data} --samples 0");
+    for (command, flag) in [
+        (search, "--slots"),
+        (matrix, "--slots"),
+        (isic, "--samples"),
+        (fitzpatrick, "--samples"),
+    ] {
         let args: Vec<&str> = command.split_whitespace().collect();
         let out = muffin(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{command}: {stderr}");
-        assert!(stderr.contains("--slots"), "{command}: {stderr}");
+        assert!(stderr.contains(flag), "{command}: {stderr}");
         assert!(!stderr.contains("panicked"), "{command}: {stderr}");
         assert!(!stderr.contains("/nonexistent"), "{command}: {stderr}");
     }
     let created = std::path::Path::new(&out_dir).exists();
     assert!(!created, "a rejected matrix created --out-dir");
+    let written = std::path::Path::new(&data).exists();
+    assert!(!written, "a rejected generate wrote --out");
 }
 
 #[test]
-fn search_rejects_flags_it_does_not_read_before_any_file_is_read() {
-    // A typo of --episodes, and a flag of the removed sharded fleet: each
-    // must fail naming the flag, before the (nonexistent) data is loaded
-    // and without writing --out.
-    let out = tmp("unknown_flag_outcome.json");
+fn every_command_rejects_flags_it_does_not_read_before_any_file_is_read() {
+    // One flag each command does not read, among the flags it needs: each
+    // must fail naming the flag, before the (nonexistent) inputs are
+    // loaded and without writing any output it names.
+    let out = tmp("unknown_flag_out.json");
+    let trace = tmp("unknown_flag_trace.json");
+    let out_dir = tmp("unknown_flag_matrix");
+    let data = "/nonexistent/data.json";
+    let pool = "/nonexistent/pool.json";
+    let outcome = "/nonexistent/outcome.json";
+    let search = format!("search --data {data} --pool {pool} --attrs age --out {out}");
     std::fs::remove_file(&out).ok();
-    for (flag, value) in [("--episode", "3"), ("--shards", "2")] {
-        let args = [
-            "search",
-            "--data",
-            "/nonexistent/data.json",
-            "--pool",
-            "/nonexistent/pool.json",
-            "--attrs",
-            "age",
-            "--out",
-            &out,
-            flag,
-            value,
-        ];
+    std::fs::remove_file(&trace).ok();
+    std::fs::remove_dir_all(&out_dir).ok();
+    // The flag under test is the last one of each command.
+    for command in [
+        format!("generate --out {out} --sample 50"),
+        format!("generate --out {out} --verbose"),
+        format!("train-pool --data {data} --out {out} --trace-out {trace}"),
+        format!("evaluate --data {data} --pool {pool} --top 3"),
+        format!("pool list --pool {pool} --verbose"),
+        format!("pool add --pool {pool} --data {data} --archs ResNet-18 --out {out}"),
+        format!("pool remove --pool {pool} --model ResNet-18 --dry-run"),
+        format!("pool gc --pool {pool} --outcome {outcome} --top 1"),
+        // A typo of --episodes, and a flag of the removed sharded fleet.
+        format!("{search} --episode 3"),
+        format!("{search} --shards 2"),
+        format!("matrix --scenarios german-credit --out-dir {out_dir} --attrs age"),
+        "serve --clients 4".to_string(),
+        format!("loadgen --out {out} --samples 10"),
+        format!("report --outcome {outcome} --episodes 3"),
+        format!("trace summarize --trace {outcome} --top 3"),
+        "help --verbose".to_string(),
+    ] {
+        let args: Vec<&str> = command.split_whitespace().collect();
+        let flag = args.iter().rfind(|a| a.starts_with("--")).expect("a flag");
         let result = muffin(&args);
         let stderr = String::from_utf8_lossy(&result.stderr);
-        assert_eq!(result.status.code(), Some(1), "{flag}: {stderr}");
-        assert!(stderr.contains(flag), "{flag}: {stderr}");
-        assert!(!stderr.contains("/nonexistent"), "{flag}: {stderr}");
-        assert!(!std::path::Path::new(&out).exists(), "{flag} wrote --out");
+        assert_eq!(result.status.code(), Some(1), "{command}: {stderr}");
+        assert!(stderr.contains(flag), "{command}: {stderr}");
+        assert!(!stderr.contains("/nonexistent"), "{command}: {stderr}");
+        for path in [&out, &trace, &out_dir] {
+            let written = std::path::Path::new(path).exists();
+            assert!(!written, "{command} wrote {path}");
+        }
     }
 }
 

@@ -61,9 +61,7 @@ mod checkpoint;
 mod controller;
 mod distill;
 mod error;
-mod explain;
 mod fusing;
-mod halving;
 mod pareto;
 mod privilege;
 mod proxy;
@@ -84,9 +82,7 @@ pub use controller::{
 };
 pub use distill::{distill_student, DistillConfig, DistilledStudent};
 pub use error::MuffinError;
-pub use explain::{TrustReport, TrustSlice};
 pub use fusing::{FusingStructure, HeadSpec, HeadTrainConfig};
-pub use halving::{promote, promotion_count, successive_halving, HalvingConfig};
 pub use pareto::{dominates_min, pareto_max_min_indices, pareto_min_indices};
 pub use privilege::PrivilegeMap;
 pub use proxy::ProxyDataset;

@@ -149,41 +149,6 @@ impl ProxyDataset {
         Self { indices, weights, group_weights: Vec::new() }
     }
 
-    /// A proxy restricted to the samples on which the given prediction
-    /// vectors disagree (evaluated on the *source* dataset's indexing).
-    /// With consensus gating the head only ever decides these samples, so
-    /// concentrating its training on them uses its capacity where it
-    /// counts.
-    ///
-    /// Returns `None` if no proxy sample is a disagreement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than two prediction vectors are supplied or their
-    /// lengths disagree.
-    pub fn restricted_to_disagreements(&self, predictions: &[Vec<usize>]) -> Option<Self> {
-        assert!(predictions.len() >= 2, "need at least two prediction vectors");
-        let len = predictions[0].len();
-        assert!(
-            predictions.iter().all(|p| p.len() == len),
-            "prediction vectors must have equal length"
-        );
-        let mut indices = Vec::new();
-        let mut weights = Vec::new();
-        for (&i, &w) in self.indices.iter().zip(&self.weights) {
-            let first = predictions[0][i];
-            if predictions.iter().any(|p| p[i] != first) {
-                indices.push(i);
-                weights.push(w);
-            }
-        }
-        if indices.is_empty() {
-            None
-        } else {
-            Some(Self { indices, weights, group_weights: self.group_weights.clone() })
-        }
-    }
-
     /// Number of proxy samples.
     pub fn len(&self) -> usize {
         self.indices.len()

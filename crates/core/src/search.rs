@@ -274,10 +274,21 @@ impl SearchOutcome {
     ///
     /// # Errors
     ///
-    /// Returns an error string if the file cannot be read or parsed.
+    /// Returns an error string if the file cannot be read or parsed, or if
+    /// its `best_by_reward` is not an index into its `history`.
     pub fn load_json(path: impl AsRef<std::path::Path>) -> Result<Self, String> {
+        let path = path.as_ref();
         let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-        muffin_json::from_str(&text).map_err(|e| e.to_string())
+        let outcome: Self = muffin_json::from_str(&text).map_err(|e| e.to_string())?;
+        if outcome.best_by_reward >= outcome.history.len() {
+            return Err(format!(
+                "{}: best_by_reward {} is not an index into its {}-episode history",
+                path.display(),
+                outcome.best_by_reward,
+                outcome.history.len()
+            ));
+        }
+        Ok(outcome)
     }
 }
 
@@ -1360,6 +1371,20 @@ mod tests {
         let msg = SearchOutcome::load_json(&path).unwrap_err();
         assert!(msg.contains("line 2"), "missing line in: {msg}");
         assert!(msg.contains("column"), "missing column in: {msg}");
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn outcome_whose_best_is_not_in_its_history_is_rejected() {
+        let path = std::env::temp_dir().join("muffin_outcome_best_out_of_range.json");
+        std::fs::write(
+            &path,
+            r#"{"history":[],"best_by_reward":0,"target_attributes":["age"]}"#,
+        )
+        .expect("write");
+        let msg = SearchOutcome::load_json(&path).unwrap_err();
+        assert!(msg.contains("best_by_reward 0"), "{msg}");
+        assert!(msg.contains(&path.display().to_string()), "{msg}");
         std::fs::remove_file(path).ok();
     }
 

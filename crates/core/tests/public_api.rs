@@ -5,10 +5,10 @@
 
 use muffin::{
     Candidate, ControllerConfig, ControllerState, DisagreementBreakdown, EpisodeRecord,
-    EvalCacheFile, FusingStructure, FusionComposition, HalvingConfig, HeadSpec, HeadTrainConfig,
-    MuffinError, PersistenceOptions, PrivilegeMap, ProxyDataset, RewardConfig, RewardKind,
-    RnnController, SearchCheckpoint, SearchConfig, SearchFingerprint, SearchOutcome, SearchSpace,
-    TextTable, TrustReport, CHECKPOINT_VERSION,
+    EvalCacheFile, FusingStructure, FusionComposition, HeadSpec, HeadTrainConfig, MuffinError,
+    PersistenceOptions, PrivilegeMap, ProxyDataset, RewardConfig, RewardKind, RnnController,
+    SearchCheckpoint, SearchConfig, SearchFingerprint, SearchOutcome, SearchSpace, TextTable,
+    CHECKPOINT_VERSION,
 };
 
 fn assert_send_sync<T: Send + Sync>() {}
@@ -32,8 +32,6 @@ fn public_types_are_send_sync() {
     assert_send_sync::<SearchConfig>();
     assert_send_sync::<SearchOutcome>();
     assert_send_sync::<EpisodeRecord>();
-    assert_send_sync::<HalvingConfig>();
-    assert_send_sync::<TrustReport>();
     assert_send_sync::<DisagreementBreakdown>();
     assert_send_sync::<FusionComposition>();
     assert_send_sync::<ControllerState>();
@@ -48,7 +46,6 @@ fn public_types_are_debuggable_and_cloneable() {
     assert_debug::<MuffinError>();
     assert_debug::<SearchOutcome>();
     assert_debug::<FusingStructure>();
-    assert_debug::<TrustReport>();
     assert_debug::<TextTable>();
     assert_clone::<PrivilegeMap>();
     assert_clone::<ProxyDataset>();
@@ -82,10 +79,6 @@ fn default_configs_are_consistent() {
     let controller = ControllerConfig::default();
     assert!(controller.gamma > 0.0 && controller.gamma <= 1.0);
     assert!((0.0..1.0).contains(&controller.baseline_decay));
-    let halving = HalvingConfig::default();
-    halving
-        .validate()
-        .expect("default halving config must be valid");
     let head = HeadTrainConfig::default();
     assert!(head.epochs > 0 && head.batch_size > 0);
     let paper = SearchConfig::paper(&["age"]);

@@ -49,9 +49,7 @@ mod fitzpatrick;
 mod generator;
 mod io;
 mod isic;
-mod sampling;
 mod scenario;
-mod stats;
 
 pub use attribute::{AttributeId, AttributeSchema, GroupId, SensitiveAttribute};
 pub use dataset::{Dataset, DatasetSplit};
@@ -69,4 +67,3 @@ pub use scenario::{
     Scenario, ScenarioError, ScenarioFamily, ScenarioRegistry, SCENARIO_FORMAT_VERSION,
     SCENARIO_SCHEMA_FIELDS,
 };
-pub use stats::{DatasetStats, GroupCount, JointGroupCount};

@@ -126,20 +126,6 @@ fn unfairness_is_zero_iff_groups_match_overall() {
 }
 
 #[test]
-fn stratified_and_random_splits_partition_identically_sized() {
-    check("split flavours agree on total size", cases(), |g: &mut Gen| g.u64() % 200, |&seed| {
-        let ds = IsicLike::small().with_num_samples(200).generate(&mut Rng64::seed(seed));
-        let random = ds.split_default(&mut Rng64::seed(seed));
-        let strat = ds.split_stratified(0.64, 0.16, None, &mut Rng64::seed(seed));
-        prop_assert_eq!(
-            random.train.len() + random.val.len() + random.test.len(),
-            strat.train.len() + strat.val.len() + strat.test.len()
-        );
-        Ok(())
-    });
-}
-
-#[test]
 fn label_noise_monotonically_increases_flips() {
     check("more noise flips more labels", cases(), |g: &mut Gen| g.u64() % 200, |&seed| {
         let ds = IsicLike::small().with_num_samples(300).generate(&mut Rng64::seed(seed));

@@ -2,7 +2,7 @@
 //! error reporting, writer determinism, float round-tripping and the
 //! `impl_json!` macro shapes.
 
-use muffin_json::{impl_json, parse, FromJson, Json, JsonError, ToJson};
+use muffin_json::{impl_json, parse, Json, JsonError};
 
 fn parse_err(text: &str) -> (usize, usize, String) {
     match parse(text) {

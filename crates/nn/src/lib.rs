@@ -19,7 +19,7 @@
 //! # Example
 //!
 //! ```
-//! use muffin_nn::{Activation, ClassifierTrainer, LossKind, Mlp, MlpSpec};
+//! use muffin_nn::{Activation, ClassifierTrainer, LossKind, LrSchedule, Mlp, MlpSpec};
 //! use muffin_tensor::{Matrix, Rng64};
 //! use muffin_trace::Tracer;
 //!
@@ -30,7 +30,7 @@
 //! let y = vec![0usize, 1, 1, 0];
 //! let spec = MlpSpec::new(2, &[8], 2).with_activation(Activation::Tanh);
 //! let mut mlp = Mlp::new(&spec, &mut rng);
-//! let trainer = ClassifierTrainer::new(400, 4).with_learning_rate(0.5);
+//! let trainer = ClassifierTrainer::new(400, 4).with_schedule(LrSchedule::constant(0.5));
 //! trainer.fit(&mut mlp, &x, &y, None, LossKind::CrossEntropy, &mut rng, &Tracer::noop());
 //! assert_eq!(mlp.predict(&x), y);
 //! # Ok(())
@@ -38,27 +38,23 @@
 //! ```
 
 mod activation;
-mod gru;
 mod linear;
 mod loss;
 mod metrics;
 mod mlp;
-mod norm;
 mod optim;
 mod rnn;
 mod schedule;
 mod train;
 
 pub use activation::Activation;
-pub use gru::{GruCache, GruCell};
 pub use linear::Linear;
 pub use loss::{
     cross_entropy_loss, mse_loss, one_hot, weighted_cross_entropy_loss, weighted_mse_loss,
     LossKind,
 };
-pub use metrics::{accuracy, confusion_matrix, per_class_accuracy};
+pub use metrics::accuracy;
 pub use mlp::{Mlp, MlpCache, MlpSpec};
-pub use norm::{LayerNorm, LayerNormCache};
 pub use optim::{Optimizer, Parameterized, SgdConfig};
 pub use rnn::{RnnCache, RnnCell};
 pub use schedule::LrSchedule;

@@ -23,46 +23,6 @@ pub fn accuracy(predictions: &[usize], labels: &[usize]) -> f32 {
     correct as f32 / predictions.len() as f32
 }
 
-/// Row-major confusion matrix `counts[true][pred]`.
-///
-/// # Panics
-///
-/// Panics if lengths differ or any label/prediction exceeds `num_classes`.
-pub fn confusion_matrix(predictions: &[usize], labels: &[usize], num_classes: usize) -> Vec<Vec<usize>> {
-    assert_eq!(predictions.len(), labels.len(), "predictions/labels length mismatch");
-    let mut counts = vec![vec![0usize; num_classes]; num_classes];
-    for (&p, &l) in predictions.iter().zip(labels) {
-        assert!(p < num_classes && l < num_classes, "class index out of range");
-        counts[l][p] += 1;
-    }
-    counts
-}
-
-/// Per-class accuracy (recall): `accuracy[c]` over samples whose true label
-/// is `c`. Classes with no samples report `None`.
-///
-/// # Panics
-///
-/// Panics if lengths differ or any index exceeds `num_classes`.
-pub fn per_class_accuracy(
-    predictions: &[usize],
-    labels: &[usize],
-    num_classes: usize,
-) -> Vec<Option<f32>> {
-    let cm = confusion_matrix(predictions, labels, num_classes);
-    cm.iter()
-        .enumerate()
-        .map(|(c, row)| {
-            let total: usize = row.iter().sum();
-            if total == 0 {
-                None
-            } else {
-                Some(row[c] as f32 / total as f32)
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,30 +41,5 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn accuracy_rejects_length_mismatch() {
         accuracy(&[0], &[0, 1]);
-    }
-
-    #[test]
-    fn confusion_matrix_counts_cells() {
-        let cm = confusion_matrix(&[0, 1, 1, 0], &[0, 1, 0, 1], 2);
-        assert_eq!(cm[0][0], 1); // true 0, pred 0
-        assert_eq!(cm[0][1], 1); // true 0, pred 1
-        assert_eq!(cm[1][0], 1);
-        assert_eq!(cm[1][1], 1);
-    }
-
-    #[test]
-    fn per_class_accuracy_handles_missing_classes() {
-        let pca = per_class_accuracy(&[0, 0], &[0, 0], 3);
-        assert_eq!(pca[0], Some(1.0));
-        assert_eq!(pca[1], None);
-        assert_eq!(pca[2], None);
-    }
-
-    #[test]
-    fn per_class_accuracy_is_recall() {
-        // class 0: 2 samples, 1 correct.
-        let pca = per_class_accuracy(&[0, 1, 1], &[0, 0, 1], 2);
-        assert_eq!(pca[0], Some(0.5));
-        assert_eq!(pca[1], Some(1.0));
     }
 }

@@ -3,6 +3,9 @@ use crate::{LrSchedule, Mlp, MlpCache, Optimizer, Parameterized, SgdConfig};
 use muffin_tensor::{Matrix, Rng64};
 use muffin_trace::{Field, Tracer};
 
+/// Global gradient-norm clip applied before every optimizer step.
+const GRAD_CLIP: f32 = 5.0;
+
 /// Summary of a completed training run.
 #[derive(Debug, Clone)]
 pub struct TrainReport {
@@ -57,15 +60,15 @@ pub struct ClassifierTrainer {
     epochs: u32,
     batch_size: usize,
     schedule: LrSchedule,
-    sgd: SgdConfig,
-    grad_clip: Option<f32>,
 }
 
-muffin_json::impl_json!(struct ClassifierTrainer { epochs, batch_size, schedule, sgd, grad_clip });
+muffin_json::impl_json!(struct ClassifierTrainer { epochs, batch_size, schedule });
 
 impl ClassifierTrainer {
-    /// Creates a trainer running `epochs` epochs with the given batch size,
-    /// the paper's learning-rate schedule and SGD momentum 0.9.
+    /// Creates a trainer running `epochs` epochs with the given batch size
+    /// and the paper's learning-rate schedule. Every trainer steps with
+    /// [`SgdConfig::default`] (momentum 0.9) and clips the global gradient
+    /// norm to 5.
     ///
     /// # Panics
     ///
@@ -76,32 +79,12 @@ impl ClassifierTrainer {
             epochs,
             batch_size,
             schedule: LrSchedule::paper(),
-            sgd: SgdConfig::default(),
-            grad_clip: Some(5.0),
         }
-    }
-
-    /// Replaces the learning-rate schedule with a constant rate.
-    pub fn with_learning_rate(mut self, lr: f32) -> Self {
-        self.schedule = LrSchedule::constant(lr);
-        self
     }
 
     /// Replaces the full learning-rate schedule.
     pub fn with_schedule(mut self, schedule: LrSchedule) -> Self {
         self.schedule = schedule;
-        self
-    }
-
-    /// Sets the SGD configuration.
-    pub fn with_sgd(mut self, sgd: SgdConfig) -> Self {
-        self.sgd = sgd;
-        self
-    }
-
-    /// Sets (or disables, with `None`) global gradient-norm clipping.
-    pub fn with_grad_clip(mut self, clip: Option<f32>) -> Self {
-        self.grad_clip = clip;
         self
     }
 
@@ -140,7 +123,7 @@ impl ClassifierTrainer {
         }
         let num_classes = mlp.spec().output_dim();
         let targets = one_hot(y, num_classes);
-        let mut optimizer = Optimizer::sgd(self.sgd);
+        let mut optimizer = Optimizer::sgd(SgdConfig::default());
         let mut indices: Vec<usize> = (0..x.rows()).collect();
         let mut epoch_losses = Vec::with_capacity(self.epochs as usize);
         let mut steps = 0u32;
@@ -185,9 +168,7 @@ impl ClassifierTrainer {
                 };
                 mlp.zero_grad();
                 mlp.backward_in_place(&mut cache, &grad);
-                if let Some(clip) = self.grad_clip {
-                    mlp.clip_grad_norm(clip);
-                }
+                mlp.clip_grad_norm(GRAD_CLIP);
                 optimizer.step(mlp, lr);
                 epoch_loss += batch_loss;
                 batches += 1;
@@ -244,7 +225,7 @@ mod tests {
         let mut rng = Rng64::seed(10);
         let (x, y) = blobs(90, &mut rng);
         let mut mlp = Mlp::new(&MlpSpec::new(2, &[16], 3), &mut rng);
-        let trainer = ClassifierTrainer::new(60, 16).with_learning_rate(0.1);
+        let trainer = ClassifierTrainer::new(60, 16).with_schedule(LrSchedule::constant(0.1));
         trainer.fit(
             &mut mlp,
             &x,
@@ -266,7 +247,7 @@ mod tests {
             &MlpSpec::new(2, &[16, 8], 3).with_activation(Activation::Tanh),
             &mut rng,
         );
-        let trainer = ClassifierTrainer::new(120, 16).with_learning_rate(0.3);
+        let trainer = ClassifierTrainer::new(120, 16).with_schedule(LrSchedule::constant(0.3));
         let weights = vec![1.0; y.len()];
         trainer.fit(
             &mut mlp,
@@ -290,7 +271,7 @@ mod tests {
         let y = vec![0usize, 1];
         let weights = vec![10.0f32, 0.1];
         let mut mlp = Mlp::new(&MlpSpec::new(1, &[4], 2), &mut rng);
-        let trainer = ClassifierTrainer::new(200, 2).with_learning_rate(0.2);
+        let trainer = ClassifierTrainer::new(200, 2).with_schedule(LrSchedule::constant(0.2));
         trainer.fit(
             &mut mlp,
             &x,

@@ -1,7 +1,7 @@
 //! Property-based tests for the neural-network substrate, running on the
 //! in-repo `muffin-check` harness with pinned seeds.
 
-use muffin_check::{check, prop_assert, Config, Gen};
+use muffin_check::{check, prop_assert, Config};
 use muffin_nn::{
     accuracy, cross_entropy_loss, one_hot, weighted_mse_loss, Activation, Linear, Mlp, MlpSpec,
     Optimizer, Parameterized, SgdConfig,

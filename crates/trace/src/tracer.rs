@@ -163,17 +163,6 @@ struct Shared {
     state: Mutex<State>,
 }
 
-/// Where gated progress lines go. Quiet (the default) is represented by
-/// the absence of a `Progress` value on the tracer.
-#[derive(Debug, Clone)]
-enum Progress {
-    /// Print progress lines to stderr (the CLI's `--verbose`).
-    Stderr,
-    /// Collect progress lines into a buffer (for tests asserting
-    /// silence or content without spawning a process).
-    Capture(Arc<Mutex<Vec<String>>>),
-}
-
 /// A structured, hermetic tracer: spans, counters, duration histograms
 /// and a verbosity-gated progress channel.
 ///
@@ -213,7 +202,8 @@ enum Progress {
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
     shared: Option<Arc<Shared>>,
-    progress: Option<Progress>,
+    /// Whether progress lines go to stderr (the CLI's `--verbose`).
+    verbose: bool,
 }
 
 impl Tracer {
@@ -229,27 +219,19 @@ impl Tracer {
                 epoch: Instant::now(),
                 state: Mutex::new(State::default()),
             })),
-            progress: None,
+            verbose: false,
         }
     }
 
     /// Enables (or disables) progress lines on stderr.
     pub fn with_verbose(mut self, verbose: bool) -> Self {
-        self.progress = verbose.then_some(Progress::Stderr);
-        self
-    }
-
-    /// Redirects progress lines into `buffer` (verbose, but captured) —
-    /// lets tests assert what a verbose run reports without a process
-    /// boundary.
-    pub fn with_progress_capture(mut self, buffer: Arc<Mutex<Vec<String>>>) -> Self {
-        self.progress = Some(Progress::Capture(buffer));
+        self.verbose = verbose;
         self
     }
 
     /// Whether progress lines are emitted at all.
     pub fn verbose(&self) -> bool {
-        self.progress.is_some()
+        self.verbose
     }
 
     /// Whether events are being captured.
@@ -260,12 +242,8 @@ impl Tracer {
     /// Emits a progress line through the verbosity gate. The closure runs
     /// only when the gate is open, so quiet runs pay no formatting cost.
     pub fn progress(&self, msg: impl FnOnce() -> String) {
-        match &self.progress {
-            None => {}
-            Some(Progress::Stderr) => eprintln!("{}", msg()),
-            Some(Progress::Capture(buffer)) => {
-                buffer.lock().expect("progress buffer poisoned").push(msg());
-            }
+        if self.verbose {
+            eprintln!("{}", msg());
         }
     }
 
@@ -783,14 +761,7 @@ mod tests {
     }
 
     #[test]
-    fn progress_capture_collects_lines_and_quiet_drops_them() {
-        let buffer = Arc::new(Mutex::new(Vec::new()));
-        let tracer = Tracer::noop().with_progress_capture(Arc::clone(&buffer));
-        assert!(tracer.verbose());
-        tracer.progress(|| "line one".to_string());
-        tracer.progress(|| "line two".to_string());
-        assert_eq!(*buffer.lock().unwrap(), vec!["line one", "line two"]);
-
+    fn quiet_capturing_tracer_never_formats_progress() {
         let quiet = Tracer::capturing().with_verbose(false);
         assert!(!quiet.verbose());
         quiet.progress(|| panic!("must not format when quiet"));

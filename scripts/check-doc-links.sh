@@ -4,7 +4,8 @@
 # Walks a fixed list of documentation files, extracts every inline
 # markdown link target, and fails if a *relative* target (after dropping
 # any #anchor) does not exist on disk, resolved against the linking
-# file's directory. External links (http/https/mailto) and pure-anchor
+# file's directory. It also checks cross-document section references and
+# the repository paths DESIGN.md and docs/PAPER_MAP.md name. External links (http/https/mailto) and pure-anchor
 # links are ignored — this is an offline, std-tools-only check (grep +
 # sed), safe for the hermetic CI gate.
 #
@@ -69,7 +70,25 @@ for doc in $DOCS; do
     unset IFS
 done
 
+# Backticked repository paths in the design documents ("`crates/core/src/
+# search.rs`", also with a trailing "::item" or command arguments) are
+# plain text too: each must still exist, so a deletion cannot leave a
+# stale pointer behind.
+for doc in DESIGN.md docs/PAPER_MAP.md; do
+    paths=$(grep -oE '`(crates|tests|scripts|examples)/[^`]*`' "$doc" \
+        | sed 's/^`//; s/`$//; s/[ :].*//' | sort -u) || continue
+    IFS='
+'
+    for path in $paths; do
+        if [ ! -e "$path" ]; then
+            echo "ERROR: $doc names a missing path: $path" >&2
+            status=1
+        fi
+    done
+    unset IFS
+done
+
 if [ "$status" -eq 0 ]; then
-    echo "doc links: all relative links and section references resolve"
+    echo "doc links: all relative links, section references and named paths resolve"
 fi
 exit "$status"

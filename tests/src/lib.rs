@@ -3,8 +3,8 @@
 //! directory.
 
 use muffin::{
-    random_search, successive_halving, HalvingConfig, MuffinError, MuffinSearch,
-    PersistenceOptions, SearchConfig, SearchOutcome, Tracer, WorkerPool,
+    random_search, MuffinError, MuffinSearch, PersistenceOptions, SearchConfig, SearchOutcome,
+    Tracer, WorkerPool,
 };
 use muffin_data::{DatasetSplit, IsicLike};
 use muffin_models::{Architecture, BackboneConfig, ModelPool};
@@ -73,27 +73,6 @@ pub fn golden_path(name: &str) -> PathBuf {
 pub fn golden_random_search_json() -> String {
     let (search, rng) = golden_search();
     let outcome = random_search(&search, &mut rng.clone()).expect("golden random search runs");
-    muffin_json::to_string(&outcome)
-}
-
-/// The frozen [`successive_halving`] schedule of the golden files: six
-/// candidates at two head epochs, then the best three at four.
-pub fn golden_halving_config() -> HalvingConfig {
-    HalvingConfig {
-        initial_population: 6,
-        keep_fraction: 0.5,
-        initial_epochs: 2,
-        epoch_growth: 2.0,
-        rungs: 2,
-    }
-}
-
-/// [`successive_halving`] over the golden recipe's search under
-/// [`golden_halving_config`], serialised like [`golden_random_search_json`].
-pub fn golden_halving_json() -> String {
-    let (search, rng) = golden_search();
-    let outcome = successive_halving(&search, &golden_halving_config(), &mut rng.clone())
-        .expect("golden halving runs");
     muffin_json::to_string(&outcome)
 }
 

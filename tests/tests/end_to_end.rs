@@ -2,7 +2,6 @@
 
 use muffin::{MuffinSearch, SearchConfig};
 use muffin_integration_tests::small_fixture;
-use muffin_tensor::Rng64;
 
 #[test]
 fn full_pipeline_produces_a_working_fused_model() {

@@ -1,10 +1,10 @@
 //! Golden-snapshot determinism suite: the serialised `SearchOutcome` of a
 //! frozen recipe is committed at `tests/golden/search_outcome.json`, and
 //! re-running the recipe — serially or on a four-worker pool — must
-//! reproduce it byte for byte. Three more files pin the rest of the
+//! reproduce it byte for byte. Two more files pin the rest of the
 //! candidate-evaluation surface on the same fixture: the `random_search`
-//! and `successive_halving` outcomes, and the recipe's stripped trace log
-//! (every span, counter and histogram count a traced search records).
+//! outcome, and the recipe's stripped trace log (every span, counter and
+//! histogram count a traced search records).
 //!
 //! If an intentional behaviour change invalidates a golden file,
 //! regenerate them all with `scripts/regen-golden.sh` and commit the diff
@@ -12,8 +12,8 @@
 
 use muffin::WorkerPool;
 use muffin_integration_tests::{
-    golden_halving_json, golden_outcome_json, golden_outcome_json_resumed, golden_path,
-    golden_random_search_json, golden_snapshot_path, golden_trace_json,
+    golden_outcome_json, golden_outcome_json_resumed, golden_path, golden_random_search_json,
+    golden_snapshot_path, golden_trace_json,
 };
 
 fn assert_matches_golden(actual: &str, name: &str, label: &str) {
@@ -125,15 +125,6 @@ fn random_search_reproduces_the_committed_outcome() {
 }
 
 #[test]
-fn successive_halving_reproduces_the_committed_outcome() {
-    assert_matches_golden(
-        &golden_halving_json(),
-        "halving_outcome.json",
-        "successive_halving SearchOutcome",
-    );
-}
-
-#[test]
 fn stripped_trace_reproduces_the_committed_log() {
     for workers in [WorkerPool::serial(), WorkerPool::new(4)] {
         assert_matches_golden(
@@ -155,7 +146,6 @@ fn regenerate_golden_snapshot() {
             golden_outcome_json(&WorkerPool::serial()),
         ),
         ("random_search_outcome.json", golden_random_search_json()),
-        ("halving_outcome.json", golden_halving_json()),
         (
             "search_trace.json",
             golden_trace_json(&WorkerPool::serial()),
