@@ -94,6 +94,38 @@ impl Activation {
             }
         }
     }
+
+    /// [`Activation::derivative`] at `x`, computed from the output
+    /// `y = apply(x)` alone. These are the operations `derivative` runs
+    /// after its own `apply`, so the bits are the same without evaluating
+    /// `tanh`/`exp` again. ReLU stays exact for a NaN `x` because
+    /// `f32::max(NaN, 0.0)` is `0.0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics for GELU, whose derivative needs the pre-activation.
+    pub(crate) fn derivative_from_output(self, y: f32) -> f32 {
+        match self {
+            Activation::Identity => 1.0,
+            Activation::Relu => {
+                if y > 0.0 {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+            Activation::LeakyRelu => {
+                if y > 0.0 {
+                    1.0
+                } else {
+                    0.01
+                }
+            }
+            Activation::Sigmoid => y * (1.0 - y),
+            Activation::Tanh => 1.0 - y * y,
+            Activation::Gelu => panic!("the GELU derivative needs the pre-activation"),
+        }
+    }
 }
 
 impl fmt::Display for Activation {
@@ -168,6 +200,44 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn output_derivative_has_the_bits_of_the_input_derivative() {
+        let tiny = f32::from_bits(1); // 2^-149, the smallest subnormal
+        let magnitudes = [0.0, tiny, 1e-30, 0.5, 9.0, 20.0, f32::INFINITY];
+        let xs = magnitudes.iter().flat_map(|&m| [m, -m]);
+        for act in ALL.into_iter().filter(|&a| a != Activation::Gelu) {
+            for x in xs.clone() {
+                let want = act.derivative(x);
+                let got = act.derivative_from_output(act.apply(x));
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{act} at {x:e}: {got} vs {want}"
+                );
+            }
+            // NaN bits are not comparable; the two must agree on NaN-ness and
+            // otherwise on bits (ReLU's 0, leaky ReLU's 0.01, identity's 1).
+            let want = act.derivative(f32::NAN);
+            let got = act.derivative_from_output(act.apply(f32::NAN));
+            assert!(
+                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                "{act} at NaN: {got} vs {want}"
+            );
+        }
+        for act in [Activation::Tanh, Activation::Sigmoid] {
+            assert!(
+                act.derivative_from_output(act.apply(f32::NAN)).is_nan(),
+                "{act}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "pre-activation")]
+    fn gelu_has_no_output_derivative() {
+        Activation::Gelu.derivative_from_output(0.5);
     }
 
     #[test]

@@ -87,9 +87,12 @@ impl MlpSpec {
 /// reached their steady-state sizes.
 #[derive(Debug, Clone)]
 pub struct MlpCache {
-    /// Input to each linear layer (first entry is the network input).
+    /// Input to each linear layer (first entry is the network input). Entry
+    /// `i + 1` is layer `i`'s activated output, which the in-place backward
+    /// differentiates the activation from.
     inputs: Vec<Matrix>,
-    /// Pre-activation output of each linear layer.
+    /// Pre-activation output of each linear layer: the logits, and the
+    /// point GELU is differentiated at.
     pre_activations: Vec<Matrix>,
     /// Ping/pong gradient buffers for the backward sweep.
     grad: Matrix,
@@ -254,7 +257,9 @@ impl Mlp {
     ///
     /// Accumulates parameter gradients exactly like [`Mlp::backward`]
     /// (byte-identical floats) but performs no per-call allocation and
-    /// skips the never-consumed input gradient of the first layer.
+    /// skips the never-consumed input gradient of the first layer. Every
+    /// activation but GELU is differentiated from its cached output, the
+    /// next layer's input, so `tanh`/`exp` run once per element per step.
     ///
     /// # Panics
     ///
@@ -275,7 +280,11 @@ impl Mlp {
         for i in (0..self.layers.len()).rev() {
             if i < last {
                 // Chain through the activation of layer i.
-                grad.zip_apply(&pre_activations[i], |g, zv| g * act.derivative(zv));
+                if act == Activation::Gelu {
+                    grad.zip_apply(&pre_activations[i], |g, zv| g * act.derivative(zv));
+                } else {
+                    grad.zip_apply(&inputs[i + 1], |g, y| g * act.derivative_from_output(y));
+                }
             }
             if i > 0 {
                 self.layers[i].backward_into(&inputs[i], grad, dw, db, grad_next);
@@ -448,8 +457,16 @@ mod tests {
 
     #[test]
     fn in_place_paths_match_allocating_paths_bit_for_bit() {
+        // GELU is not searchable but takes its own branch in the in-place
+        // backward, so it is checked too.
+        for act in Activation::SEARCHABLE.into_iter().chain([Activation::Gelu]) {
+            in_place_paths_match_allocating_paths_for(act);
+        }
+    }
+
+    fn in_place_paths_match_allocating_paths_for(act: Activation) {
         let mut rng = Rng64::seed(6);
-        let spec = MlpSpec::new(4, &[7, 5], 3).with_activation(Activation::Tanh);
+        let spec = MlpSpec::new(4, &[7, 5], 3).with_activation(act);
         let mlp = Mlp::new(&spec, &mut rng);
         let mut cache = MlpCache::new();
         // Reuse the same cache across batches of different sizes: results
@@ -476,7 +493,7 @@ mod tests {
             b.visit_params(&mut |_, g| grads_b.push(g.to_vec()));
             for (ga, gb) in grads_a.iter().zip(grads_b.iter()) {
                 for (x, y) in ga.iter().zip(gb.iter()) {
-                    assert_eq!(x.to_bits(), y.to_bits());
+                    assert_eq!(x.to_bits(), y.to_bits(), "{act} at batch {batch}");
                 }
             }
         }

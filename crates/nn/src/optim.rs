@@ -148,11 +148,13 @@ impl Optimizer {
                         velocity.push(vec![0.0; p.len()]);
                     }
                     let vel = &mut velocity[idx];
-                    debug_assert_eq!(vel.len(), p.len(), "parameter buffer changed size");
-                    for i in 0..p.len() {
-                        let grad = g[i] + weight_decay * p[i];
-                        vel[i] = momentum * vel[i] + grad;
-                        p[i] -= lr * vel[i];
+                    assert_eq!(vel.len(), p.len(), "parameter buffer changed size");
+                    // Zipped, not indexed: no bounds checks, so the loop
+                    // vectorises with the same three operations in order.
+                    for ((p, &g), v) in p.iter_mut().zip(g.iter()).zip(vel.iter_mut()) {
+                        let grad = g + weight_decay * *p;
+                        *v = momentum * *v + grad;
+                        *p -= lr * *v;
                     }
                     idx += 1;
                 });

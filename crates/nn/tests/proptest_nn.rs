@@ -1,7 +1,7 @@
 //! Property-based tests for the neural-network substrate, running on the
 //! in-repo `muffin-check` harness with pinned seeds.
 
-use muffin_check::{check, prop_assert, Config};
+use muffin_check::{check, prop_assert, prop_assert_eq, Config, Gen};
 use muffin_nn::{
     accuracy, cross_entropy_loss, one_hot, weighted_mse_loss, Activation, Linear, Mlp, MlpSpec,
     Optimizer, Parameterized, SgdConfig,
@@ -155,6 +155,110 @@ fn grad_clipping_never_increases_norm() {
             let after = mlp.grad_norm();
             prop_assert!(after <= before + 1e-5);
             prop_assert!(after <= max_norm + 1e-3);
+            Ok(())
+        },
+    );
+}
+
+/// `(params, grads)` buffers, visited in order.
+struct Params(Vec<(Vec<f32>, Vec<f32>)>);
+
+impl Parameterized for Params {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
+        for (p, g) in &mut self.0 {
+            f(p, g);
+        }
+    }
+}
+
+/// A value that is an exact zero, a subnormal (either sign) or uniform.
+fn sgd_value(g: &mut Gen, lo: f32, hi: f32) -> f32 {
+    if g.bool(0.2) {
+        0.0
+    } else if g.bool(0.25) {
+        let bits = 1 + (g.u64() % 0x007F_FFFF) as u32;
+        let sign = if g.bool(0.5) { 0x8000_0000 } else { 0 };
+        f32::from_bits(sign | bits)
+    } else {
+        g.f32_in(lo, hi)
+    }
+}
+
+#[test]
+fn sgd_step_is_the_indexed_update_bit_for_bit() {
+    check(
+        "SGD step == grad = g + wd*p; v = m*v + grad; p -= lr*v",
+        config(),
+        |g| {
+            // Per buffer: params, grads and the velocity the optimizer
+            // starts from.
+            let buffers: Vec<(Vec<f32>, Vec<f32>, Vec<f32>)> = (0..g.usize_in(1..=4))
+                .map(|_| {
+                    let mut len = g.usize_in(1..=40);
+                    if len % 8 == 0 {
+                        len += 1;
+                    }
+                    let p = (0..len).map(|_| sgd_value(g, -2.0, 2.0)).collect();
+                    let grad = (0..len).map(|_| sgd_value(g, -1.0, 1.0)).collect();
+                    // Tiny velocities decay into subnormals; start some there.
+                    let v = (0..len).map(|_| sgd_value(g, -1e-3, 1e-3)).collect();
+                    (p, grad, v)
+                })
+                .collect();
+            (buffers, g.bool(0.5), g.f32_in(0.01, 0.5))
+        },
+        |(buffers, decay, lr)| {
+            if buffers
+                .iter()
+                .any(|(p, g, v)| g.len() != p.len() || v.len() != p.len())
+            {
+                // Shrinking resizes the three vectors independently.
+                return Ok(());
+            }
+            let config = SgdConfig {
+                momentum: 0.9,
+                weight_decay: if *decay { 1e-4 } else { 0.0 },
+            };
+            let mut model = Params(
+                buffers
+                    .iter()
+                    .map(|(p, g, _)| (p.clone(), g.clone()))
+                    .collect(),
+            );
+            let mut velocity: Vec<Vec<f32>> = buffers.iter().map(|(_, _, v)| v.clone()).collect();
+            let mut optimizer = Optimizer::Sgd {
+                config,
+                velocity: velocity.clone(),
+            };
+            let mut want: Vec<Vec<f32>> = buffers.iter().map(|(p, _, _)| p.clone()).collect();
+            // Three steps on the same gradients carry the velocity forward.
+            for _ in 0..3 {
+                optimizer.step(&mut model, *lr);
+                for ((p, (_, g, _)), v) in want.iter_mut().zip(buffers.iter()).zip(&mut velocity) {
+                    for i in 0..p.len() {
+                        let grad = g[i] + config.weight_decay * p[i];
+                        v[i] = config.momentum * v[i] + grad;
+                        p[i] -= *lr * v[i];
+                    }
+                }
+            }
+            let Optimizer::Sgd {
+                velocity: got_velocity,
+                ..
+            } = &optimizer
+            else {
+                return Err("the optimizer stopped being SGD".into());
+            };
+            for (((got_p, _), want_p), (got_v, want_v)) in model
+                .0
+                .iter()
+                .zip(&want)
+                .zip(got_velocity.iter().zip(&velocity))
+            {
+                let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(got_p), bits(want_p));
+                prop_assert_eq!(bits(got_v), bits(want_v));
+            }
             Ok(())
         },
     );

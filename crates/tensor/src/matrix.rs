@@ -29,6 +29,9 @@ const I_BLOCK: usize = 64;
 const K_BLOCK: usize = 64;
 /// Column-block size for `matmul_nt_into`'s dot-product tiling.
 const J_BLOCK: usize = 64;
+/// Widest padded output row (four lanes) the matmul kernels accumulate in
+/// registers instead of running the blocked loops; see [`small_width_row`].
+const SMALL_WIDTH: usize = 4 * LANE_WIDTH;
 
 /// A dense, row-major `f32` matrix over an aligned, padded backing store.
 ///
@@ -374,7 +377,9 @@ impl Matrix {
     /// shared-dimension tiles) while the inner
     /// accumulation runs over each output row in ascending `k` order — the
     /// same per-element operation sequence as the naive `i-k-j` triple
-    /// loop, so results are byte-for-byte identical to it.
+    /// loop, so results are byte-for-byte identical to it. Outputs at most
+    /// 32 floats wide (padded) keep each row in registers for the whole
+    /// shared dimension instead, with the same per-element sequence.
     ///
     /// # Panics
     ///
@@ -409,48 +414,21 @@ impl Matrix {
         // out of the loops and runs exactly once per call (the instrument
         // counter pins this); it touches logical elements only.
         let skip_zeros = other.all_finite_logical();
-        let (sa, sb, so) = (self.stride, other.stride, out.stride);
-        let (abuf, bbuf) = (self.buf(), other.buf());
-        let obuf = out.buf_mut();
-        for ii in (0..m).step_by(I_BLOCK) {
-            let i_end = (ii + I_BLOCK).min(m);
-            for kk in (0..k).step_by(K_BLOCK) {
-                let k_end = (kk + K_BLOCK).min(k);
-                for i in ii..i_end {
-                    let a_row = &abuf[i * sa + kk..i * sa + k_end];
-                    let out_row = &mut obuf[i * so..i * so + n];
-                    let mut dk = 0;
-                    while dk + 4 <= a_row.len() {
-                        let kb = kk + dk;
-                        let a4 = [a_row[dk], a_row[dk + 1], a_row[dk + 2], a_row[dk + 3]];
-                        let b4 = [
-                            &bbuf[kb * sb..kb * sb + n],
-                            &bbuf[(kb + 1) * sb..(kb + 1) * sb + n],
-                            &bbuf[(kb + 2) * sb..(kb + 2) * sb + n],
-                            &bbuf[(kb + 3) * sb..(kb + 3) * sb + n],
-                        ];
-                        rank4_update(out_row, a4, b4, skip_zeros);
-                        dk += 4;
-                    }
-                    while dk < a_row.len() {
-                        let a = a_row[dk];
-                        let kb = kk + dk;
-                        if !(a == 0.0 && skip_zeros) {
-                            rank1_update(out_row, a, &bbuf[kb * sb..kb * sb + n]);
-                        }
-                        dk += 1;
-                    }
-                }
-            }
+        match out.stride {
+            8 => matmul_small::<8>(self, other, out, skip_zeros),
+            16 => matmul_small::<16>(self, other, out, skip_zeros),
+            24 => matmul_small::<24>(self, other, out, skip_zeros),
+            32 => matmul_small::<32>(self, other, out, skip_zeros),
+            _ => matmul_blocked(self, other, out, skip_zeros),
         }
     }
 
     /// Matrix product `selfᵀ · other` without materialising the transpose.
     ///
     /// Cache-blocked like [`Matrix::matmul`] (shared-dimension and column
-    /// tiles on the two outer loops); per output element the shared
-    /// dimension is accumulated in ascending order, byte-identical to the
-    /// naive loop.
+    /// tiles on the two outer loops), with the same register path for
+    /// small outputs; per output element the shared dimension is
+    /// accumulated in ascending order, byte-identical to the naive loop.
     ///
     /// # Panics
     ///
@@ -482,48 +460,21 @@ impl Matrix {
         // Same hoisted pre-scan as `matmul_into`: one scan of `other` per
         // call guards the zero-skip path against swallowing NaN/∞.
         let skip_zeros = other.all_finite_logical();
-        let (sa, sb, so) = (self.stride, other.stride, out.stride);
-        let (abuf, bbuf) = (self.buf(), other.buf());
-        let obuf = out.buf_mut();
-        for rr in (0..r_dim).step_by(K_BLOCK) {
-            let r_end = (rr + K_BLOCK).min(r_dim);
-            for ii in (0..c_dim).step_by(I_BLOCK) {
-                let i_end = (ii + I_BLOCK).min(c_dim);
-                for i in ii..i_end {
-                    let out_row = &mut obuf[i * so..i * so + n];
-                    let mut r = rr;
-                    while r + 4 <= r_end {
-                        let a4 = [
-                            abuf[r * sa + i],
-                            abuf[(r + 1) * sa + i],
-                            abuf[(r + 2) * sa + i],
-                            abuf[(r + 3) * sa + i],
-                        ];
-                        let b4 = [
-                            &bbuf[r * sb..r * sb + n],
-                            &bbuf[(r + 1) * sb..(r + 1) * sb + n],
-                            &bbuf[(r + 2) * sb..(r + 2) * sb + n],
-                            &bbuf[(r + 3) * sb..(r + 3) * sb + n],
-                        ];
-                        rank4_update(out_row, a4, b4, skip_zeros);
-                        r += 4;
-                    }
-                    while r < r_end {
-                        let a = abuf[r * sa + i];
-                        if !(a == 0.0 && skip_zeros) {
-                            rank1_update(out_row, a, &bbuf[r * sb..r * sb + n]);
-                        }
-                        r += 1;
-                    }
-                }
-            }
+        match out.stride {
+            8 => matmul_tn_small::<8>(self, other, out, skip_zeros),
+            16 => matmul_tn_small::<16>(self, other, out, skip_zeros),
+            24 => matmul_tn_small::<24>(self, other, out, skip_zeros),
+            32 => matmul_tn_small::<32>(self, other, out, skip_zeros),
+            _ => matmul_tn_blocked(self, other, out, skip_zeros),
         }
     }
 
     /// Matrix product `self · otherᵀ` without materialising the transpose.
     ///
-    /// Cache-blocked over row and column tiles; each dot product folds the
-    /// shared dimension sequentially from zero, byte-identical to the naive
+    /// Cache-blocked over row and column tiles, with the register path of
+    /// [`Matrix::matmul`] when the output and the shared dimension are both
+    /// at most 32 wide; each dot product folds the shared dimension
+    /// sequentially from zero, byte-identical to the naive
     /// `iter().zip().map().sum()` formulation.
     ///
     /// # Panics
@@ -553,54 +504,13 @@ impl Matrix {
         if m == 0 || k == 0 || p == 0 {
             return;
         }
-        let (sa, sb, so) = (self.stride, other.stride, out.stride);
-        let (abuf, bbuf) = (self.buf(), other.buf());
-        let obuf = out.buf_mut();
-        for ii in (0..m).step_by(I_BLOCK) {
-            let i_end = (ii + I_BLOCK).min(m);
-            for jj in (0..p).step_by(J_BLOCK) {
-                let j_end = (jj + J_BLOCK).min(p);
-                for i in ii..i_end {
-                    let a_row = &abuf[i * sa..i * sa + k];
-                    let out_row = &mut obuf[i * so..i * so + p];
-                    let mut j = jj;
-                    // Four independent dot products share each `a` load.
-                    // Accumulators start at -0.0 — the IEEE additive
-                    // identity `Iterator::sum` folds from (`x + -0.0 == x`
-                    // bitwise for every x, which +0.0 is not: `-0.0 + 0.0`
-                    // flips to +0.0) — so each dot is bitwise `.sum()`.
-                    while j + 4 <= j_end {
-                        let b0 = &bbuf[j * sb..j * sb + k];
-                        let b1 = &bbuf[(j + 1) * sb..(j + 1) * sb + k];
-                        let b2 = &bbuf[(j + 2) * sb..(j + 2) * sb + k];
-                        let b3 = &bbuf[(j + 3) * sb..(j + 3) * sb + k];
-                        let (mut d0, mut d1, mut d2, mut d3) = (-0.0f32, -0.0f32, -0.0f32, -0.0f32);
-                        for (&a, (((&v0, &v1), &v2), &v3)) in a_row
-                            .iter()
-                            .zip(b0.iter().zip(b1.iter()).zip(b2.iter()).zip(b3.iter()))
-                        {
-                            d0 += a * v0;
-                            d1 += a * v1;
-                            d2 += a * v2;
-                            d3 += a * v3;
-                        }
-                        out_row[j] = d0;
-                        out_row[j + 1] = d1;
-                        out_row[j + 2] = d2;
-                        out_row[j + 3] = d3;
-                        j += 4;
-                    }
-                    while j < j_end {
-                        let b_row = &bbuf[j * sb..j * sb + k];
-                        let mut dot = -0.0f32;
-                        for (&a, &b) in a_row.iter().zip(b_row.iter()) {
-                            dot += a * b;
-                        }
-                        out_row[j] = dot;
-                        j += 1;
-                    }
-                }
-            }
+        // The small path holds the transposed right operand on the stack.
+        match (out.stride, k <= SMALL_WIDTH) {
+            (8, true) => matmul_nt_small::<8>(self, other, out),
+            (16, true) => matmul_nt_small::<16>(self, other, out),
+            (24, true) => matmul_nt_small::<24>(self, other, out),
+            (32, true) => matmul_nt_small::<32>(self, other, out),
+            _ => matmul_nt_blocked(self, other, out),
         }
     }
 
@@ -896,6 +806,228 @@ impl Matrix {
             }
         }
         sq.sqrt()
+    }
+}
+
+// Every matmul kernel below is `#[inline(never)]`: out of line, each one
+// starts on its own 64-byte boundary (see `.cargo/config.toml`), so its loop
+// layout does not depend on the dispatch in front of it. With the small
+// kernels inlined into `matmul_into`, the unchanged blocked loops ran
+// 10–15% slower on 64×64 and 128×128 products.
+
+/// The cache-blocked [`Matrix::matmul_into`] for outputs wider than
+/// [`SMALL_WIDTH`].
+#[inline(never)]
+fn matmul_blocked(a: &Matrix, b: &Matrix, out: &mut Matrix, skip_zeros: bool) {
+    let (m, k, n) = (a.rows, a.cols, b.cols);
+    let (sa, sb, so) = (a.stride, b.stride, out.stride);
+    let (abuf, bbuf) = (a.buf(), b.buf());
+    let obuf = out.buf_mut();
+    for ii in (0..m).step_by(I_BLOCK) {
+        let i_end = (ii + I_BLOCK).min(m);
+        for kk in (0..k).step_by(K_BLOCK) {
+            let k_end = (kk + K_BLOCK).min(k);
+            for i in ii..i_end {
+                let a_row = &abuf[i * sa + kk..i * sa + k_end];
+                let out_row = &mut obuf[i * so..i * so + n];
+                let mut dk = 0;
+                while dk + 4 <= a_row.len() {
+                    let kb = kk + dk;
+                    let a4 = [a_row[dk], a_row[dk + 1], a_row[dk + 2], a_row[dk + 3]];
+                    let b4 = [
+                        &bbuf[kb * sb..kb * sb + n],
+                        &bbuf[(kb + 1) * sb..(kb + 1) * sb + n],
+                        &bbuf[(kb + 2) * sb..(kb + 2) * sb + n],
+                        &bbuf[(kb + 3) * sb..(kb + 3) * sb + n],
+                    ];
+                    rank4_update(out_row, a4, b4, skip_zeros);
+                    dk += 4;
+                }
+                while dk < a_row.len() {
+                    let a = a_row[dk];
+                    let kb = kk + dk;
+                    if !(a == 0.0 && skip_zeros) {
+                        rank1_update(out_row, a, &bbuf[kb * sb..kb * sb + n]);
+                    }
+                    dk += 1;
+                }
+            }
+        }
+    }
+}
+
+/// The cache-blocked [`Matrix::matmul_tn_into`] for outputs wider than
+/// [`SMALL_WIDTH`].
+#[inline(never)]
+fn matmul_tn_blocked(a: &Matrix, b: &Matrix, out: &mut Matrix, skip_zeros: bool) {
+    let (r_dim, c_dim, n) = (a.rows, a.cols, b.cols);
+    let (sa, sb, so) = (a.stride, b.stride, out.stride);
+    let (abuf, bbuf) = (a.buf(), b.buf());
+    let obuf = out.buf_mut();
+    for rr in (0..r_dim).step_by(K_BLOCK) {
+        let r_end = (rr + K_BLOCK).min(r_dim);
+        for ii in (0..c_dim).step_by(I_BLOCK) {
+            let i_end = (ii + I_BLOCK).min(c_dim);
+            for i in ii..i_end {
+                let out_row = &mut obuf[i * so..i * so + n];
+                let mut r = rr;
+                while r + 4 <= r_end {
+                    let a4 = [
+                        abuf[r * sa + i],
+                        abuf[(r + 1) * sa + i],
+                        abuf[(r + 2) * sa + i],
+                        abuf[(r + 3) * sa + i],
+                    ];
+                    let b4 = [
+                        &bbuf[r * sb..r * sb + n],
+                        &bbuf[(r + 1) * sb..(r + 1) * sb + n],
+                        &bbuf[(r + 2) * sb..(r + 2) * sb + n],
+                        &bbuf[(r + 3) * sb..(r + 3) * sb + n],
+                    ];
+                    rank4_update(out_row, a4, b4, skip_zeros);
+                    r += 4;
+                }
+                while r < r_end {
+                    let a = abuf[r * sa + i];
+                    if !(a == 0.0 && skip_zeros) {
+                        rank1_update(out_row, a, &bbuf[r * sb..r * sb + n]);
+                    }
+                    r += 1;
+                }
+            }
+        }
+    }
+}
+
+/// The cache-blocked [`Matrix::matmul_nt_into`] for outputs wider than
+/// [`SMALL_WIDTH`] or shared dimensions longer than it.
+#[inline(never)]
+fn matmul_nt_blocked(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    let (m, k, p) = (a.rows, a.cols, b.rows);
+    let (sa, sb, so) = (a.stride, b.stride, out.stride);
+    let (abuf, bbuf) = (a.buf(), b.buf());
+    let obuf = out.buf_mut();
+    for ii in (0..m).step_by(I_BLOCK) {
+        let i_end = (ii + I_BLOCK).min(m);
+        for jj in (0..p).step_by(J_BLOCK) {
+            let j_end = (jj + J_BLOCK).min(p);
+            for i in ii..i_end {
+                let a_row = &abuf[i * sa..i * sa + k];
+                let out_row = &mut obuf[i * so..i * so + p];
+                let mut j = jj;
+                // Four independent dot products share each `a` load.
+                // Accumulators start at -0.0 — the IEEE additive
+                // identity `Iterator::sum` folds from (`x + -0.0 == x`
+                // bitwise for every x, which +0.0 is not: `-0.0 + 0.0`
+                // flips to +0.0) — so each dot is bitwise `.sum()`.
+                while j + 4 <= j_end {
+                    let b0 = &bbuf[j * sb..j * sb + k];
+                    let b1 = &bbuf[(j + 1) * sb..(j + 1) * sb + k];
+                    let b2 = &bbuf[(j + 2) * sb..(j + 2) * sb + k];
+                    let b3 = &bbuf[(j + 3) * sb..(j + 3) * sb + k];
+                    let (mut d0, mut d1, mut d2, mut d3) = (-0.0f32, -0.0f32, -0.0f32, -0.0f32);
+                    for (&a, (((&v0, &v1), &v2), &v3)) in a_row
+                        .iter()
+                        .zip(b0.iter().zip(b1.iter()).zip(b2.iter()).zip(b3.iter()))
+                    {
+                        d0 += a * v0;
+                        d1 += a * v1;
+                        d2 += a * v2;
+                        d3 += a * v3;
+                    }
+                    out_row[j] = d0;
+                    out_row[j + 1] = d1;
+                    out_row[j + 2] = d2;
+                    out_row[j + 3] = d3;
+                    j += 4;
+                }
+                while j < j_end {
+                    let b_row = &bbuf[j * sb..j * sb + k];
+                    let mut dot = -0.0f32;
+                    for (&a, &b) in a_row.iter().zip(b_row.iter()) {
+                        dot += a * b;
+                    }
+                    out_row[j] = dot;
+                    j += 1;
+                }
+            }
+        }
+    }
+}
+
+/// One output row of the small-width path: `W` accumulators seeded with
+/// `init`, then `acc[j] += a_t * rows[t][j]` for each step `t` in ascending
+/// order, skipping `a_t == 0.0` when `skip_zeros` is set. Per output element
+/// that is the operation sequence of the blocked kernels, with the row held
+/// in registers across the whole shared dimension and stored once. Lanes
+/// past the output's logical width may pick up the right operand's padding;
+/// callers store only the logical prefix.
+#[inline(always)]
+fn small_width_row<const W: usize>(
+    init: f32,
+    coefs: impl Iterator<Item = f32>,
+    rows: &[[f32; W]],
+    skip_zeros: bool,
+) -> [f32; W] {
+    let mut acc = [init; W];
+    for (a, row) in coefs.zip(rows) {
+        if a == 0.0 && skip_zeros {
+            continue;
+        }
+        for (o, &b) in acc.iter_mut().zip(row) {
+            *o += a * b;
+        }
+    }
+    acc
+}
+
+/// [`Matrix::matmul_into`] for an output whose padded width `W` is at most
+/// [`SMALL_WIDTH`]: `+0.0` seeds and the caller's zero-skip guard, as in
+/// the blocked kernel. `b`'s rows share the output's stride `W`.
+#[inline(never)]
+fn matmul_small<const W: usize>(a: &Matrix, b: &Matrix, out: &mut Matrix, skip_zeros: bool) {
+    let (k, n) = (a.cols, b.cols);
+    let (b_rows, _) = b.buf().as_chunks::<W>();
+    let (out_rows, _) = out.buf_mut().as_chunks_mut::<W>();
+    for (a_row, out_row) in a.iter_rows().zip(out_rows) {
+        let acc = small_width_row(0.0, a_row.iter().copied(), &b_rows[..k], skip_zeros);
+        out_row[..n].copy_from_slice(&acc[..n]);
+    }
+}
+
+/// [`Matrix::matmul_tn_into`] for an output whose padded width `W` is at
+/// most [`SMALL_WIDTH`]: output row `i` folds column `i` of `a` against the
+/// rows of `b`, which share the output's stride `W`.
+#[inline(never)]
+fn matmul_tn_small<const W: usize>(a: &Matrix, b: &Matrix, out: &mut Matrix, skip_zeros: bool) {
+    let (sa, n) = (a.stride, b.cols);
+    let (b_rows, _) = b.buf().as_chunks::<W>();
+    let (out_rows, _) = out.buf_mut().as_chunks_mut::<W>();
+    for (i, out_row) in out_rows.iter_mut().enumerate() {
+        let column = a.buf().chunks_exact(sa).map(|row| row[i]);
+        let acc = small_width_row(0.0, column, b_rows, skip_zeros);
+        out_row[..n].copy_from_slice(&acc[..n]);
+    }
+}
+
+/// [`Matrix::matmul_nt_into`] for an output whose padded width `W` is at
+/// most [`SMALL_WIDTH`] and a shared dimension of at most [`SMALL_WIDTH`]:
+/// `b` is copied, transposed, into a stack buffer, and each dot product
+/// folds from `-0.0` with no zero skip, bitwise the blocked kernel's
+/// `Iterator::sum`-style fold.
+#[inline(never)]
+fn matmul_nt_small<const W: usize>(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    let (k, p) = (a.cols, b.rows);
+    let mut bt = [[0.0f32; W]; SMALL_WIDTH];
+    for (j, b_row) in b.iter_rows().enumerate() {
+        for (t, &v) in b_row.iter().enumerate() {
+            bt[t][j] = v;
+        }
+    }
+    let (out_rows, _) = out.buf_mut().as_chunks_mut::<W>();
+    for (a_row, out_row) in a.iter_rows().zip(out_rows) {
+        let acc = small_width_row(-0.0, a_row.iter().copied(), &bt[..k], false);
+        out_row[..p].copy_from_slice(&acc[..p]);
     }
 }
 

@@ -1,15 +1,18 @@
-//! Bit-for-bit equivalence of the cache-blocked matmul kernels against a
-//! naive reference oracle.
+//! Bit-for-bit equivalence of the matmul kernels against a naive
+//! reference oracle.
 //!
-//! The blocked kernels (`matmul_into`, `matmul_tn_into`, `matmul_nt_into`)
-//! promise that tiling changed only the *order loops visit tiles*, never
-//! the per-output-element accumulation sequence — so every float they
-//! produce must equal the naive triple loop's output down to the last bit
-//! (NaN positions included; payload bits are compiler-unspecified, see
+//! The kernels (`matmul_into`, `matmul_tn_into`, `matmul_nt_into`) run a
+//! register-blocked path for outputs at most 32 floats wide (padded) and
+//! cache-blocked loops otherwise. Both promise that they changed only the
+//! *order loops visit rows and tiles*, never the per-output-element
+//! accumulation sequence — so every float they produce must equal the
+//! naive triple loop's output down to the last bit (NaN positions
+//! included; payload bits are compiler-unspecified, see
 //! `prop_assert_bits_eq`). The oracle below is the pre-blocking kernel kept
 //! verbatim (including its zero-skip fast path and lazy finiteness guard);
-//! the property suites drive both through random shapes, tile-boundary
-//! shapes, degenerate 1×N/N×1 shapes, NaN/∞ operands and all-zero rows.
+//! the property suites drive both through random shapes, tile-boundary and
+//! width-switch shapes, degenerate 1×N/N×1 shapes, NaN/∞ operands and
+//! all-zero rows.
 
 use muffin_check::{check, prop_assert, prop_assert_eq, Config, Gen};
 use muffin_tensor::{instrument, Matrix};
@@ -145,10 +148,12 @@ fn blocked_kernels_match_oracle_on_random_shapes() {
 fn blocked_kernels_match_oracle_across_tile_boundaries() {
     // The kernels tile at 64; shapes straddling 64 (and the lane width 8)
     // exercise full tiles, ragged tail tiles, and their combinations.
-    let dims = [1usize, 7, 8, 9, 63, 64, 65, 70];
+    // 24–40 straddle the 32-float small-width switch: padded widths of
+    // three and four lanes, and the first blocked widths past it.
+    let dims = [1usize, 7, 8, 9, 24, 25, 31, 32, 33, 40, 63, 64, 65, 70];
     check(
         "blocked == naive at tile-boundary shapes",
-        Config::cases(48).with_seed(0x7E45_0106),
+        Config::cases(96).with_seed(0x7E45_0106),
         |g: &mut Gen| {
             let m = dims[g.usize_in(0..=dims.len() - 1)];
             let k = dims[g.usize_in(0..=dims.len() - 1)];
@@ -190,7 +195,7 @@ fn blocked_kernels_match_oracle_with_nonfinite_operands() {
         |g: &mut Gen| {
             let m = g.usize_in(1..=12);
             let k = g.usize_in(1..=12);
-            let n = g.usize_in(1..=12);
+            let n = g.usize_in(1..=40);
             let mut a = g.matrix_exact(m, k, -5.0, 5.0);
             let mut b = g.matrix_exact(k, n, -5.0, 5.0);
             for x in a.iter_rows_mut().flatten() {
@@ -219,7 +224,7 @@ fn blocked_kernels_match_oracle_with_zero_rows() {
         |g: &mut Gen| {
             let m = g.usize_in(2..=16);
             let k = g.usize_in(2..=16);
-            let n = g.usize_in(1..=16);
+            let n = g.usize_in(1..=40);
             let mut a = g.matrix_exact(m, k, -5.0, 5.0);
             let mut b = g.matrix_exact(k, n, -5.0, 5.0);
             for r in 0..m {
@@ -253,39 +258,49 @@ fn scans_during(f: impl FnOnce()) -> u64 {
     instrument::finiteness_scans() - before
 }
 
+/// Output widths on each side of the 32-float small-width switch, so the
+/// accounting below covers the register-blocked and the blocked path.
+const SCAN_WIDTHS: [usize; 2] = [5, 40];
+
 #[test]
 fn matmul_scans_its_operand_exactly_once_per_call() {
-    let a = Matrix::filled(9, 7, 0.0); // all zeros: maximal skip traffic
-    let b = Matrix::filled(7, 5, 2.0);
-    let mut out = Matrix::zeros(0, 0);
-    assert_eq!(scans_during(|| a.matmul_into(&b, &mut out)), 1);
-    assert_eq!(scans_during(|| drop(a.matmul(&b))), 1);
-    assert_eq!(
-        scans_during(|| {
-            for _ in 0..10 {
-                a.matmul_into(&b, &mut out);
-            }
-        }),
-        10,
-        "one scan per call, not amortised across calls"
-    );
+    for n in SCAN_WIDTHS {
+        let a = Matrix::filled(9, 7, 0.0); // all zeros: maximal skip traffic
+        let b = Matrix::filled(7, n, 2.0);
+        let mut out = Matrix::zeros(0, 0);
+        assert_eq!(scans_during(|| a.matmul_into(&b, &mut out)), 1);
+        assert_eq!(scans_during(|| drop(a.matmul(&b))), 1);
+        assert_eq!(
+            scans_during(|| {
+                for _ in 0..10 {
+                    a.matmul_into(&b, &mut out);
+                }
+            }),
+            10,
+            "one scan per call, not amortised across calls"
+        );
+    }
 }
 
 #[test]
 fn matmul_tn_scans_its_operand_exactly_once_per_call() {
-    let a = Matrix::filled(6, 9, 0.0);
-    let b = Matrix::filled(6, 4, 1.5);
-    let mut out = Matrix::zeros(0, 0);
-    assert_eq!(scans_during(|| a.matmul_tn_into(&b, &mut out)), 1);
+    for n in SCAN_WIDTHS {
+        let a = Matrix::filled(6, 9, 0.0);
+        let b = Matrix::filled(6, n, 1.5);
+        let mut out = Matrix::zeros(0, 0);
+        assert_eq!(scans_during(|| a.matmul_tn_into(&b, &mut out)), 1);
+    }
 }
 
 #[test]
 fn matmul_nt_never_scans() {
     // The nt kernel has no zero-skip fast path, hence nothing to guard.
-    let a = Matrix::filled(5, 8, 1.0);
-    let b = Matrix::filled(3, 8, 1.0);
-    let mut out = Matrix::zeros(0, 0);
-    assert_eq!(scans_during(|| a.matmul_nt_into(&b, &mut out)), 0);
+    for p in SCAN_WIDTHS {
+        let a = Matrix::filled(5, 8, 1.0);
+        let b = Matrix::filled(p, 8, 1.0);
+        let mut out = Matrix::zeros(0, 0);
+        assert_eq!(scans_during(|| a.matmul_nt_into(&b, &mut out)), 0);
+    }
 }
 
 #[test]

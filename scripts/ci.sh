@@ -119,11 +119,13 @@ cargo run -q --release --offline -p muffin-cli -- matrix \
 test -s target/muffin-matrix-smoke/matrix.json
 test -s target/muffin-matrix-smoke/matrix.md
 
-echo "==> repo benchmark: build, unit tests, serve-fused smoke (untraced + traced)"
+echo "==> repo benchmark: build, unit tests, serve-fused smoke (untraced + traced), traced search-cold smoke"
 # e2e-bench builds against the workspace crates by path, so a public-API
 # change that breaks it fails here, not only in the benchmark pipeline.
-# Each run must exit 0 (every correctness check passed), and the traced
+# Each run must exit 0 (every correctness check passed), and each traced
 # run's two replicas must have verified the trace they re-derive.
+# serve-fused trains 8-epoch heads; search-cold trains the paper's
+# 60-epoch heads, so its head replica re-derives a full-length fit.
 bench() {
     subcommand=$1
     shift
@@ -137,12 +139,16 @@ for trace in 0 1; do
     bench run -- --workload serve-fused --seed 1 --seconds 1 --trace "$trace" \
         > "target/e2e-bench-smoke/serve-fused-trace$trace.txt"
 done
-for flag in nn.replica_verified controller.replay_verified; do
-    tail -n 1 target/e2e-bench-smoke/serve-fused-trace1.txt \
-        | grep -q "\"$flag\": {\"value\": 1," || {
-        echo "ERROR: $flag did not read 1 in the traced benchmark smoke" >&2
-        exit 1
-    }
+bench run -- --workload search-cold --seed 1 --seconds 1 --trace 1 \
+    > target/e2e-bench-smoke/search-cold-trace1.txt
+for run in serve-fused-trace1 search-cold-trace1; do
+    for flag in nn.replica_verified controller.replay_verified; do
+        tail -n 1 "target/e2e-bench-smoke/$run.txt" \
+            | grep -q "\"$flag\": {\"value\": 1," || {
+            echo "ERROR: $flag did not read 1 in the $run benchmark smoke" >&2
+            exit 1
+        }
+    done
 done
 
 echo "==> documentation link check"
