@@ -36,10 +36,10 @@ COMMANDS:
               --pool FILE  --data FILE  --archs A,B,... (required)
               --epochs N (default 60)     --seed S (default 7)
               --split-seed S (default 7)
-              Appending keeps every existing model at its index, so
-              checkpoints and eval caches written against the old pool
-              warm-resume via `search --resume` (see docs/OPERATIONS.md
-              §11).
+              Appending keeps every existing model at its index. A
+              checkpoint of the old pool no longer resumes: start a new
+              search, and its --eval-cache reuses the old pool's records
+              (see docs/OPERATIONS.md §11).
   pool remove Remove one model from a pool, by name or 16-hex content id
               --pool FILE  --model NAME|ID (required)
               --outcome FILE (optional: refuse to remove a model that the
@@ -77,10 +77,8 @@ COMMANDS:
               --resume (continue from --checkpoint instead of starting
                 fresh; the resumed outcome is byte-identical to an
                 uninterrupted run. The checkpoint must match the run's
-                seed, config, pool and data, or it is rejected — except
-                a pool that *grew* via `pool add`: the controller is
-                warm-started over the larger pool and every recorded
-                evaluation is reused)
+                seed, config, pool and data, or it is rejected; after
+                `pool add` the rejection names each added model)
               --eval-cache FILE (optional: cross-run evaluation cache —
                 candidates already trained by an earlier run with the
                 same seed/config/pool/data are reused, counted on the
@@ -432,8 +430,8 @@ fn pool_add(args: &Args) -> Result<(), String> {
         println!("  {identity}");
     }
     println!(
-        "existing models kept their indices: checkpoints and eval caches \
-         warm-resume via `muffin search --resume`"
+        "existing models kept their indices: a checkpoint of the old pool no longer \
+         resumes; a new `muffin search --eval-cache` reuses its cached evaluations"
     );
     Ok(())
 }

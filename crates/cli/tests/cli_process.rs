@@ -466,15 +466,14 @@ fn warm_eval_cache_reports_disk_hits_and_preserves_outcome_bytes() {
 }
 
 #[test]
-fn pool_lifecycle_extends_warm_resumes_and_guards_chosen_models() {
+fn pool_lifecycle_grows_rejects_stale_resume_and_guards_chosen_models() {
     let (data, fixture_pool) = fixture();
     let pool = tmp("lifecycle_pool.json");
     let out = tmp("lifecycle_out.json");
     let ckpt = tmp("lifecycle_ckpt.json");
     let cache = tmp("lifecycle_cache.json");
-    let trace = tmp("lifecycle_trace.json");
     std::fs::copy(&fixture_pool, &pool).expect("copy fixture pool");
-    for f in [&out, &ckpt, &cache, &trace] {
+    for f in [&out, &ckpt, &cache] {
         std::fs::remove_file(f).ok();
     }
 
@@ -522,63 +521,74 @@ fn pool_lifecycle_extends_warm_resumes_and_guards_chosen_models() {
         String::from_utf8_lossy(&dup.stderr)
     );
 
-    // Phase 3: resume against the grown pool. The checkpoint's fingerprint
-    // records the old manifest, so this exercises the warm-start path; the
-    // eval cache must serve the pre-extension evaluations from disk.
+    // Phase 3: a checkpoint resumes only the pool it was written for.
+    // Resuming over the grown pool fails, naming each added model by id,
+    // and leaves the checkpoint and the eval cache untouched.
+    let added: Vec<&str> = add_stdout
+        .lines()
+        .filter_map(|line| line.strip_prefix("  "))
+        .collect();
+    assert_eq!(
+        added.len(),
+        2,
+        "pool add must list both models: {add_stdout}"
+    );
+    let ckpt_bytes = std::fs::read(&ckpt).expect("checkpoint bytes");
+    let cache_bytes = std::fs::read(&cache).expect("eval cache bytes");
     let resumed = run_search(&search_cmd(
         &data,
         &pool,
         &out,
-        &[
-            "--checkpoint", &ckpt, "--eval-cache", &cache, "--resume",
-            "--trace-out", &trace, "--verbose",
-        ],
+        &["--checkpoint", &ckpt, "--eval-cache", &cache, "--resume"],
     ));
-    assert!(
-        resumed.status.success(),
-        "resume over grown pool failed: {}",
-        String::from_utf8_lossy(&resumed.stderr)
-    );
     let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert_eq!(
+        resumed.status.code(),
+        Some(1),
+        "resume over a grown pool must fail: {stderr}"
+    );
+    assert!(stderr.contains("model pool grew"), "{stderr}");
+    for identity in &added {
+        assert!(
+            identity.contains("(id ") && stderr.contains(identity),
+            "the rejection must name {identity}: {stderr}"
+        );
+    }
     assert!(
-        stderr.contains("pool grew"),
-        "missing warm-start progress line: {stderr}"
+        ckpt_bytes == std::fs::read(&ckpt).expect("checkpoint bytes after"),
+        "a rejected resume rewrote the checkpoint"
+    );
+    assert!(
+        cache_bytes == std::fs::read(&cache).expect("eval cache bytes after"),
+        "a rejected resume rewrote the eval cache"
     );
 
-    // Pre-extension evaluations were served from the disk cache.
-    let log = TraceLog::load_json(&trace).expect("trace log parses");
-    let disk_hits: u64 = log
-        .events
-        .iter()
-        .filter(|e| e.name == "search.cache_hit_disk")
-        .map(|e| match e.data {
-            muffin_trace::EventData::Counter { value } => value,
-            _ => 0,
+    // A new search over the grown pool loads the old pool's eval cache,
+    // its records re-keyed through model content ids.
+    let fresh = run_search(&search_cmd(
+        &data,
+        &pool,
+        &out,
+        &["--eval-cache", &cache, "--verbose"],
+    ));
+    let stderr = String::from_utf8_lossy(&fresh.stderr);
+    assert!(
+        fresh.status.success(),
+        "new search over the grown pool failed: {stderr}"
+    );
+    let loaded: usize = stderr
+        .lines()
+        .filter(|line| line.contains("eval cache") && line.ends_with(" record(s)"))
+        .find_map(|line| {
+            line.trim_end_matches(" record(s)")
+                .rsplit(' ')
+                .next()?
+                .parse()
+                .ok()
         })
-        .sum();
-    assert!(
-        disk_hits >= 1,
-        "resumed run reported no search.cache_hit_disk counter"
-    );
-
-    // The warm-started search keeps its full history, so the final best
-    // reward can only match or beat the best seen before the extension.
-    let outcome = muffin::SearchOutcome::load_json(&out).expect("resumed outcome parses");
-    let pre_extension_best = outcome
-        .history
-        .iter()
-        .filter(|r| r.episode < 4)
-        .map(|r| r.reward)
-        .fold(f32::NEG_INFINITY, f32::max);
-    assert!(
-        pre_extension_best.is_finite(),
-        "resumed outcome lost its pre-extension history"
-    );
-    assert!(
-        outcome.best().reward >= pre_extension_best,
-        "extension lost reward: best {} < pre-extension best {pre_extension_best}",
-        outcome.best().reward
-    );
+        .unwrap_or_else(|| panic!("no eval cache load line: {stderr}"));
+    assert!(loaded > 0, "the eval cache served no records: {stderr}");
+    let outcome = muffin::SearchOutcome::load_json(&out).expect("outcome parses");
 
     // Phase 4: `pool list` names every model with its content id.
     let list = muffin(&["pool", "list", "--pool", &pool]);
@@ -649,7 +659,7 @@ fn pool_lifecycle_extends_warm_resumes_and_guards_chosen_models() {
     united.dedup();
     assert_eq!(kept_names, united, "gc kept the wrong models");
 
-    for f in [pool, out, ckpt, cache, trace] {
+    for f in [pool, out, ckpt, cache] {
         std::fs::remove_file(f).ok();
     }
 }
@@ -682,6 +692,44 @@ fn pool_lifecycle_rejects_an_outcome_whose_best_is_not_in_its_history() {
     for f in [pool, outcome] {
         std::fs::remove_file(f).ok();
     }
+}
+
+#[test]
+fn a_dataset_with_a_label_out_of_range_is_rejected_by_every_command_without_a_panic() {
+    let (data, pool) = fixture();
+    let bad = tmp("label99_data.json");
+    let out = tmp("label99_out.json");
+    std::fs::remove_file(&out).ok();
+    let mut json = muffin_json::parse(&std::fs::read_to_string(&data).expect("fixture data"))
+        .expect("fixture data parses");
+    let muffin_json::Json::Obj(entries) = &mut json else {
+        panic!("fixture data is not an object")
+    };
+    let Some((_, muffin_json::Json::Arr(labels))) = entries.iter_mut().find(|(k, _)| k == "labels")
+    else {
+        panic!("fixture data has no labels array")
+    };
+    labels[5] = muffin_json::Json::Int(99);
+    std::fs::write(&bad, muffin_json::to_string(&json)).expect("write broken dataset");
+    for command in [
+        format!("train-pool --data {bad} --archs ResNet-18 --epochs 1 --out {out}"),
+        format!("evaluate --data {bad} --pool {pool}"),
+        format!("search --data {bad} --pool {pool} --attrs age,site --episodes 1 --out {out}"),
+    ] {
+        let result = muffin(&command.split_whitespace().collect::<Vec<_>>());
+        let stderr = String::from_utf8_lossy(&result.stderr);
+        assert_eq!(result.status.code(), Some(1), "{command}: {stderr}");
+        assert!(
+            stderr.contains(&bad) && stderr.contains("labels[5] = 99"),
+            "{command}: the error must name the file and the label: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{command}: {stderr}");
+        assert!(
+            !std::path::Path::new(&out).exists(),
+            "{command} wrote its output"
+        );
+    }
+    std::fs::remove_file(bad).ok();
 }
 
 #[test]

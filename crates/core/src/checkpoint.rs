@@ -24,6 +24,12 @@
 //! producing a drifted search, and a cache write never merges in records
 //! of another run, so a cache changes wall-clock time, never the outcome.
 //!
+//! A checkpoint resumes only the pool it was written for: after
+//! `muffin pool add` it is rejected, naming the added models, and the
+//! operator starts a new search. The eval cache alone survives that
+//! growth, its records re-keyed through model content ids
+//! ([`EvalCacheFile::load_warm`]).
+//!
 //! [`SearchOutcome`]: crate::SearchOutcome
 
 use crate::controller::ControllerState;
@@ -64,9 +70,9 @@ pub struct SearchFingerprint {
     pub space: SearchSpace,
     /// [`fnv1a64`] over the serialised model pool.
     pub pool_hash: u64,
-    /// The pool's ordered per-model content ids. This is what lets a
-    /// later run tell a safe pool *extension* (old manifest is a prefix
-    /// of the new one) apart from a genuine pool *change*, and lets
+    /// The pool's ordered per-model content ids. This is what lets an
+    /// eval cache tell a pool *extension* (old manifest is a prefix of
+    /// the new one) apart from a genuine pool *change*, and lets
     /// rejection messages name the models involved.
     pub manifest: PoolManifest,
     /// [`fnv1a64`] over the serialised train/val/test split.
@@ -150,8 +156,9 @@ impl SearchFingerprint {
         }
     }
 
-    /// Classifies an artifact fingerprint (`old`, read from disk) against
-    /// the current run (`self`) for **warm resume after pool growth**.
+    /// Classifies an eval cache's fingerprint (`old`, read from disk)
+    /// against the current run (`self`), so the cache survives pool
+    /// growth ([`EvalCacheFile::load_warm`]). Checkpoints never use it.
     ///
     /// Returns the pool relation when every non-pool component matches
     /// and the pool either matches too ([`PoolRelation::Identical`]) or
@@ -275,56 +282,12 @@ impl SearchCheckpoint {
     ///
     /// * [`MuffinError::Io`] if the file cannot be read;
     /// * [`MuffinError::StaleArtifact`] if it does not parse, its version
-    ///   is unsupported, or its fingerprint names a different run than
-    ///   `expected`.
+    ///   is unsupported, its episode count disagrees with its history, or
+    ///   its fingerprint names a different run than `expected`. A pool
+    ///   that grew since the checkpoint is such a difference; the message
+    ///   names each added model by id.
     pub fn load(path: impl AsRef<Path>, expected: &SearchFingerprint) -> Result<Self, MuffinError> {
         let path = path.as_ref();
-        let ckpt = Self::parse_checked(path)?;
-        if let Some(what) = expected.mismatch(&ckpt.fingerprint) {
-            return Err(MuffinError::StaleArtifact(format!(
-                "checkpoint {} belongs to a different run: {what}",
-                path.display()
-            )));
-        }
-        Ok(ckpt)
-    }
-
-    /// Loads a checkpoint for `muffin search --resume`, additionally
-    /// accepting one written against a pool that has since **grown** by
-    /// appended models ([`SearchFingerprint::growth_from`]).
-    ///
-    /// Returns the checkpoint together with the pool relation:
-    /// [`PoolRelation::Identical`] is the plain bit-identical resume;
-    /// [`PoolRelation::Grew`] means the caller must warm-start — extend
-    /// the controller over the grown pool and continue, reusing every
-    /// recorded evaluation (old pool indices are still valid because the
-    /// old pool is a prefix of the new one).
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::load`]; pool edits other than pure growth are rejected
-    /// naming the added/removed/mutated models by id.
-    pub fn load_for_resume(
-        path: impl AsRef<Path>,
-        expected: &SearchFingerprint,
-    ) -> Result<(Self, PoolRelation), MuffinError> {
-        let path = path.as_ref();
-        let ckpt = Self::parse_checked(path)?;
-        if expected.mismatch(&ckpt.fingerprint).is_none() {
-            return Ok((ckpt, PoolRelation::Identical));
-        }
-        match expected.growth_from(&ckpt.fingerprint, false) {
-            Ok(relation) => Ok((ckpt, relation)),
-            Err(what) => Err(MuffinError::StaleArtifact(format!(
-                "checkpoint {} belongs to a different run: {what}",
-                path.display()
-            ))),
-        }
-    }
-
-    /// Reads, parses and structurally validates a checkpoint, without any
-    /// fingerprint comparison.
-    fn parse_checked(path: &Path) -> Result<Self, MuffinError> {
         let text = std::fs::read_to_string(path).map_err(|e| {
             MuffinError::Io(format!("cannot read checkpoint {}: {e}", path.display()))
         })?;
@@ -347,6 +310,12 @@ impl SearchCheckpoint {
                 path.display(),
                 ckpt.episode,
                 ckpt.history.len()
+            )));
+        }
+        if let Some(what) = expected.mismatch(&ckpt.fingerprint) {
+            return Err(MuffinError::StaleArtifact(format!(
+                "checkpoint {} belongs to a different run: {what}",
+                path.display()
             )));
         }
         Ok(ckpt)
@@ -899,7 +868,7 @@ mod tests {
             other => panic!("expected growth, got {other:?}"),
         }
 
-        // Same manifest shape but a slot-count change: not warm-resumable.
+        // Same manifest shape but a slot-count change: the cache is stale.
         grown.config.num_slots += 1;
         assert!(grown
             .growth_from(&old, false)

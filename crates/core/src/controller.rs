@@ -126,8 +126,7 @@ impl SearchSpace {
 
     /// Same space indexing into a different pool size. The pool
     /// lifecycle layer uses this to compare a grown pool's space against
-    /// the one an artifact recorded, and to rebuild a controller for an
-    /// extended pool.
+    /// the one an eval cache recorded.
     ///
     /// # Errors
     ///
@@ -579,210 +578,6 @@ impl RnnController {
         Ok(())
     }
 
-    /// Restores state exported by a controller over `old_space` into this
-    /// controller, whose space may index a **larger pool** — the in-place
-    /// choice-dimension extension of the pool lifecycle layer.
-    ///
-    /// The two spaces must be identical apart from the pool size. Every
-    /// learned quantity carries over exactly where it lived before:
-    /// embedding rows for existing tokens, the recurrent cell, the slot
-    /// heads' logit columns for existing models, and all non-slot heads.
-    /// The start-token embedding row moves to the new vocabulary end.
-    /// Rows and columns for the appended models keep the deterministic
-    /// initialisation this controller was constructed with, and the
-    /// optimizer's per-buffer moments are remapped alongside the
-    /// parameters (zero moments for new entries), so training continues
-    /// as if the new models had simply never been sampled yet.
-    ///
-    /// With equal pool sizes this is exactly [`Self::import_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MuffinError::InvalidConfig`] when the spaces differ in
-    /// anything but pool size, the pool shrank, or the flattened
-    /// parameter/moment counts do not match `old_space`'s architecture.
-    pub fn import_extended(
-        &mut self,
-        old_space: &SearchSpace,
-        state: ControllerState,
-    ) -> Result<(), MuffinError> {
-        if old_space.pool_size() > self.space.pool_size() {
-            return Err(MuffinError::InvalidConfig(format!(
-                "controller extension cannot shrink the pool ({} -> {})",
-                old_space.pool_size(),
-                self.space.pool_size()
-            )));
-        }
-        let shrunk = self.space.clone().with_pool_size(old_space.pool_size())?;
-        if &shrunk != old_space {
-            return Err(MuffinError::InvalidConfig(
-                "controller extension requires spaces differing only in pool size".into(),
-            ));
-        }
-        if old_space.pool_size() == self.space.pool_size() {
-            return self.import_state(state);
-        }
-
-        let segs = self.extension_segments(old_space);
-        let old_total: usize = segs.iter().map(|s| s.old_len).sum();
-        if state.params.len() != old_total {
-            return Err(MuffinError::InvalidConfig(format!(
-                "controller state has {} parameters, expected {old_total} for the old space",
-                state.params.len()
-            )));
-        }
-        // Background: the deterministic fresh initialisation this
-        // controller was constructed with. Mapped regions are overwritten
-        // from the old state; appended rows/columns keep their init.
-        let mut new_params = Vec::new();
-        self.visit_params(&mut |p, _| new_params.extend_from_slice(p));
-        debug_assert_eq!(
-            new_params.len(),
-            segs.iter().map(|s| s.new_len).sum::<usize>(),
-            "segment plan must tile the new parameter vector"
-        );
-        let mut off_old = 0;
-        let mut off_new = 0;
-        for seg in &segs {
-            seg.apply(
-                &state.params[off_old..off_old + seg.old_len],
-                &mut new_params[off_new..off_new + seg.new_len],
-            );
-            off_old += seg.old_len;
-            off_new += seg.new_len;
-        }
-        let mut offset = 0;
-        self.visit_params(&mut |p, _| {
-            p.copy_from_slice(&new_params[offset..offset + p.len()]);
-            offset += p.len();
-        });
-
-        self.optimizer = match state.optimizer {
-            Optimizer::Adam {
-                beta1,
-                beta2,
-                eps,
-                m,
-                v,
-                t,
-            } => Optimizer::Adam {
-                beta1,
-                beta2,
-                eps,
-                m: Self::remap_moments(&segs, m)?,
-                v: Self::remap_moments(&segs, v)?,
-                t,
-            },
-            Optimizer::Sgd { config, velocity } => Optimizer::Sgd {
-                config,
-                velocity: Self::remap_moments(&segs, velocity)?,
-            },
-        };
-        self.baseline = state.baseline;
-        self.updates = state.updates;
-        Ok(())
-    }
-
-    /// Plans the old-buffer → new-buffer mapping for
-    /// [`Self::import_extended`], one segment per `visit_params` buffer
-    /// in visitation order (embed weight, embed bias, cell buffers, then
-    /// per-step head weight + bias).
-    fn extension_segments(&mut self, old_space: &SearchSpace) -> Vec<ExtensionSegment> {
-        let lane = |cols: usize| Matrix::zeros(1, cols).stride();
-        let embed_stride = lane(self.config.embed_dim);
-        let old_vocab = old_space.max_choices() + 1;
-        let new_vocab = self.space.max_choices() + 1;
-        let hidden = self.config.hidden_dim;
-
-        let mut new_lens = Vec::new();
-        self.visit_params(&mut |p, _| new_lens.push(p.len()));
-        let num_heads = self.heads.len();
-        let cell_buffers = new_lens.len() - 2 - 2 * num_heads;
-
-        let mut segs = Vec::with_capacity(new_lens.len());
-        // Embed weight: one row per token; the start token (last row of
-        // the old vocabulary) moves to the last row of the new one.
-        segs.push(ExtensionSegment {
-            old_len: old_vocab * embed_stride,
-            new_len: new_vocab * embed_stride,
-            map: SegmentMap::Rows {
-                rows_old: old_vocab,
-                stride_old: embed_stride,
-                stride_new: embed_stride,
-                cols: embed_stride,
-                start_token_row: true,
-            },
-        });
-        // Embed bias and the recurrent cell depend only on the config.
-        for &len in &new_lens[1..2 + cell_buffers] {
-            segs.push(ExtensionSegment::verbatim(len));
-        }
-        // Heads: slot steps widen from the old pool size to the new one;
-        // depth/width/activation steps are untouched.
-        let old_sizes = old_space.step_sizes();
-        let new_sizes = self.space.step_sizes();
-        for (&n_old, &n_new) in old_sizes.iter().zip(&new_sizes) {
-            if n_old == n_new {
-                segs.push(ExtensionSegment::verbatim(hidden * lane(n_new)));
-                segs.push(ExtensionSegment::verbatim(n_new));
-            } else {
-                segs.push(ExtensionSegment {
-                    old_len: hidden * lane(n_old),
-                    new_len: hidden * lane(n_new),
-                    map: SegmentMap::Rows {
-                        rows_old: hidden,
-                        stride_old: lane(n_old),
-                        stride_new: lane(n_new),
-                        cols: n_old,
-                        start_token_row: false,
-                    },
-                });
-                segs.push(ExtensionSegment {
-                    old_len: n_old,
-                    new_len: n_new,
-                    map: SegmentMap::Rows {
-                        rows_old: 1,
-                        stride_old: n_old,
-                        stride_new: n_new,
-                        cols: n_old,
-                        start_token_row: false,
-                    },
-                });
-            }
-        }
-        debug_assert_eq!(segs.len(), new_lens.len());
-        segs
-    }
-
-    /// Remaps per-buffer optimizer moments through the segment plan:
-    /// surviving entries keep their accumulated moments, appended entries
-    /// start at zero. Lazily-initialised (empty) moment lists pass
-    /// through untouched.
-    fn remap_moments(
-        segs: &[ExtensionSegment],
-        buffers: Vec<Vec<f32>>,
-    ) -> Result<Vec<Vec<f32>>, MuffinError> {
-        if buffers.is_empty() {
-            return Ok(buffers);
-        }
-        if buffers.len() != segs.len()
-            || buffers.iter().zip(segs).any(|(b, s)| b.len() != s.old_len)
-        {
-            return Err(MuffinError::InvalidConfig(
-                "optimizer moments do not match the old controller architecture".into(),
-            ));
-        }
-        Ok(buffers
-            .iter()
-            .zip(segs)
-            .map(|(buffer, seg)| {
-                let mut out = vec![0.0; seg.new_len];
-                seg.apply(buffer, &mut out);
-                out
-            })
-            .collect())
-    }
-
     /// Probability vector of step `t` under the current policy, for
     /// inspection and tests.
     ///
@@ -813,68 +608,6 @@ impl Parameterized for RnnController {
         self.cell.visit_params(f);
         for head in &mut self.heads {
             head.visit_params(f);
-        }
-    }
-}
-
-/// One `visit_params` buffer's worth of the old→new mapping used by
-/// [`RnnController::import_extended`].
-struct ExtensionSegment {
-    old_len: usize,
-    new_len: usize,
-    map: SegmentMap,
-}
-
-enum SegmentMap {
-    /// The buffer is unchanged: copy wholesale.
-    Verbatim,
-    /// A padded row-major matrix whose leading dimension may have grown:
-    /// copy `cols` values of each of `rows_old` rows from stride
-    /// `stride_old` to stride `stride_new`. With `start_token_row`, the
-    /// last old row (the start token's embedding) lands on the last *new*
-    /// row instead of staying in place.
-    Rows {
-        rows_old: usize,
-        stride_old: usize,
-        stride_new: usize,
-        cols: usize,
-        start_token_row: bool,
-    },
-}
-
-impl ExtensionSegment {
-    fn verbatim(len: usize) -> Self {
-        Self {
-            old_len: len,
-            new_len: len,
-            map: SegmentMap::Verbatim,
-        }
-    }
-
-    /// Copies the surviving entries of `old` over the matching positions
-    /// of `new`, leaving the rest of `new` untouched.
-    fn apply(&self, old: &[f32], new: &mut [f32]) {
-        debug_assert_eq!(old.len(), self.old_len);
-        debug_assert_eq!(new.len(), self.new_len);
-        match self.map {
-            SegmentMap::Verbatim => new.copy_from_slice(old),
-            SegmentMap::Rows {
-                rows_old,
-                stride_old,
-                stride_new,
-                cols,
-                start_token_row,
-            } => {
-                for row in 0..rows_old {
-                    let dst_row = if start_token_row && row == rows_old - 1 {
-                        new.len() / stride_new - 1
-                    } else {
-                        row
-                    };
-                    let src = &old[row * stride_old..row * stride_old + cols];
-                    new[dst_row * stride_new..dst_row * stride_new + cols].copy_from_slice(src);
-                }
-            }
         }
     }
 }
@@ -1161,136 +894,5 @@ mod tests {
         assert!(space().with_pool_size(0).is_err());
         let required = space().with_required_models(vec![3]).expect("in range");
         assert!(required.with_pool_size(3).is_err());
-    }
-
-    /// A controller trained on pool 4, plus its extension to `new_pool`.
-    /// Pool 12 crosses the padding-lane boundary of the slot heads (4 → 12
-    /// logits) *and* grows the token vocabulary (max_choices 6 → 12), so
-    /// both row-remap shapes are exercised.
-    fn trained_and_extended(new_pool: usize) -> (RnnController, RnnController) {
-        let mut rng = Rng64::seed(21);
-        let mut old = RnnController::new(space(), ControllerConfig::default(), &mut rng);
-        for _ in 0..6 {
-            let e = old.sample(&mut rng);
-            old.update(&e, 1.0 + e.actions[0] as f32);
-        }
-        let state = old.export_state();
-        let grown = space().with_pool_size(new_pool).expect("grow");
-        let mut ext = RnnController::new(grown, ControllerConfig::default(), &mut Rng64::seed(777));
-        ext.import_extended(&space(), state).expect("prefix growth");
-        (old, ext)
-    }
-
-    #[test]
-    fn extension_preserves_learned_behaviour_for_old_choices() {
-        let (old, ext) = trained_and_extended(12);
-        assert_eq!(ext.baseline(), old.baseline());
-        assert_eq!(ext.updates(), old.updates());
-        // Slot logits for the surviving models are untouched, so their
-        // probability *ratios* survive exactly (the softmax support grew,
-        // so absolute probabilities shrink together).
-        let p_old = old.step_probs(0, &[]);
-        let p_new = ext.step_probs(0, &[]);
-        assert_eq!(p_new.len(), 12);
-        for i in 1..4 {
-            let r_old = p_old[i] / p_old[0];
-            let r_new = p_new[i] / p_new[0];
-            assert!(
-                (r_old - r_new).abs() <= 1e-5 * r_old.abs().max(1.0),
-                "slot ratio {i}: {r_old} vs {r_new}"
-            );
-        }
-        // Non-slot steps see identical hidden trajectories for old-token
-        // prefixes and identical heads: bit-identical distributions.
-        let prefix = vec![1, 3];
-        let d_old = old.step_probs(2, &prefix);
-        let d_new = ext.step_probs(2, &prefix);
-        assert_eq!(d_old.len(), d_new.len());
-        for (a, b) in d_old.iter().zip(&d_new) {
-            assert_eq!(a.to_bits(), b.to_bits(), "depth step drifted");
-        }
-    }
-
-    #[test]
-    fn extension_trains_on_and_can_pick_new_models() {
-        let (_, mut ext) = trained_and_extended(12);
-        let mut rng = Rng64::seed(33);
-        // Reward only the newly added model 9 in slot 0: the extended
-        // optimizer state must keep training (moments were remapped).
-        let before = ext.step_probs(0, &[])[9];
-        for _ in 0..200 {
-            let e = ext.sample(&mut rng);
-            let reward = if e.actions[0] == 9 { 2.0 } else { 0.0 };
-            ext.update(&e, reward);
-        }
-        let after = ext.step_probs(0, &[])[9];
-        assert!(after > before, "P(new model 9): {before} -> {after}");
-        for (a, n) in ext.sample(&mut rng).actions.iter().zip(
-            space()
-                .with_pool_size(12)
-                .expect("grow")
-                .step_sizes(),
-        ) {
-            assert!(*a < n);
-        }
-    }
-
-    #[test]
-    fn extension_is_deterministic_and_plain_import_with_equal_pools() {
-        let (_, mut a) = trained_and_extended(12);
-        let (_, mut b) = trained_and_extended(12);
-        assert_eq!(a.export_state().params, b.export_state().params);
-        // Equal pool sizes: exactly import_state.
-        let mut rng = Rng64::seed(21);
-        let mut old = RnnController::new(space(), ControllerConfig::default(), &mut rng);
-        let e = old.sample(&mut rng);
-        old.update(&e, 1.0);
-        let state = old.export_state();
-        let mut same = RnnController::new(space(), ControllerConfig::default(), &mut Rng64::seed(5));
-        same.import_extended(&space(), state).expect("same space");
-        assert_eq!(same.export_state().params, old.export_state().params);
-    }
-
-    #[test]
-    fn extension_rejects_shrink_wrong_space_and_bad_lengths() {
-        let mut rng = Rng64::seed(40);
-        let mut old = RnnController::new(space(), ControllerConfig::default(), &mut rng);
-        let state = old.export_state();
-        // Shrinking the pool is never a warm extension.
-        let mut small = RnnController::new(
-            SearchSpace::paper_default(3),
-            ControllerConfig::default(),
-            &mut Rng64::seed(41),
-        );
-        assert!(matches!(
-            small.import_extended(&space(), state.clone()),
-            Err(MuffinError::InvalidConfig(_))
-        ));
-        // Spaces differing in more than pool size are rejected.
-        let mut other = RnnController::new(
-            space()
-                .with_pool_size(12)
-                .expect("grow")
-                .with_slots(3)
-                .expect("valid"),
-            ControllerConfig::default(),
-            &mut Rng64::seed(42),
-        );
-        assert!(matches!(
-            other.import_extended(&space(), state.clone()),
-            Err(MuffinError::InvalidConfig(_))
-        ));
-        // Truncated parameter vectors are rejected before any copying.
-        let mut ext = RnnController::new(
-            space().with_pool_size(12).expect("grow"),
-            ControllerConfig::default(),
-            &mut Rng64::seed(43),
-        );
-        let mut short = state;
-        short.params.pop();
-        assert!(matches!(
-            ext.import_extended(&space(), short),
-            Err(MuffinError::InvalidConfig(_))
-        ));
     }
 }

@@ -58,8 +58,7 @@ pub fn random_search(
         } else {
             tracer.count("search.cache_miss", 1);
             let head_seed = rng.uniform(0.0, 1.0).to_bits() as u64 ^ (episode as u64) << 32;
-            let record =
-                search.evaluate_record(&bodies, &actions, head_seed, None, episode, tracer)?;
+            let record = search.evaluate_record(&bodies, &actions, head_seed, episode, tracer)?;
             cache.insert(actions, record.clone());
             record
         };

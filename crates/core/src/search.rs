@@ -7,7 +7,7 @@ use crate::{
     SearchSpace,
 };
 use muffin_data::{AttributeId, Dataset, DatasetSplit};
-use muffin_models::{fnv1a64, ModelEvaluation, ModelPool, PoolRelation};
+use muffin_models::{ModelEvaluation, ModelPool, PoolRelation};
 use muffin_par::WorkerPool;
 use muffin_tensor::{Rng64, SplitMix64};
 use muffin_trace::{Field, Tracer};
@@ -510,12 +510,11 @@ impl MuffinSearch {
 
     /// Trains `candidate`'s head from `head_seed` on the proxy inputs in
     /// `bodies` and scores the structure on `bodies`' dataset. A pure
-    /// function of (candidate, head budget, head seed).
+    /// function of (candidate, head seed).
     fn train_and_score(
         &self,
         candidate: &Candidate,
         bodies: &SearchBodies<'_>,
-        head: &HeadTrainConfig,
         head_seed: u64,
         tracer: &Tracer,
     ) -> Result<(FusingStructure, ModelEvaluation), MuffinError> {
@@ -530,7 +529,7 @@ impl MuffinSearch {
             &bodies.proxy.head_inputs(&candidate.model_indices),
             &bodies.proxy_labels,
             self.proxy.weights(),
-            head,
+            &self.config.head,
             &mut head_rng,
             tracer,
         );
@@ -542,25 +541,16 @@ impl MuffinSearch {
     /// `actions`, trains and scores the candidate
     /// ([`MuffinSearch::train_and_score`]) and records it as first seen at
     /// `episode`.
-    ///
-    /// `epochs` overrides the head-training budget for a reduced-budget
-    /// screen; the record's head description then carries an
-    /// `@{epochs}ep` tag.
     pub(crate) fn evaluate_record(
         &self,
         bodies: &SearchBodies<'_>,
         actions: &[usize],
         head_seed: u64,
-        epochs: Option<u32>,
         episode: u32,
         tracer: &Tracer,
     ) -> Result<EpisodeRecord, MuffinError> {
         let candidate = self.space.decode(actions)?;
-        let head = HeadTrainConfig {
-            epochs: epochs.unwrap_or(self.config.head.epochs),
-            ..self.config.head.clone()
-        };
-        let (fusing, eval) = self.train_and_score(&candidate, bodies, &head, head_seed, tracer)?;
+        let (fusing, eval) = self.train_and_score(&candidate, bodies, head_seed, tracer)?;
         let targets: Vec<&str> = self
             .config
             .target_attributes
@@ -576,10 +566,7 @@ impl MuffinSearch {
                 .filter_map(|&i| self.pool.get(i))
                 .map(|m| m.name().to_string())
                 .collect(),
-            head_desc: match epochs {
-                Some(epochs) => format!("{} @{epochs}ep", candidate.head),
-                None => candidate.head.to_string(),
-            },
+            head_desc: candidate.head.to_string(),
             accuracy: eval.accuracy,
             unfairness: targets
                 .iter()
@@ -609,13 +596,7 @@ impl MuffinSearch {
         head_seed: u64,
     ) -> Result<(FusingStructure, ModelEvaluation), MuffinError> {
         let bodies = self.bodies(eval_on);
-        self.train_and_score(
-            candidate,
-            &bodies,
-            &self.config.head,
-            head_seed,
-            &Tracer::noop(),
-        )
+        self.train_and_score(candidate, &bodies, head_seed, &Tracer::noop())
     }
 
     /// Rebuilds the trained structure of a history record exactly.
@@ -809,14 +790,13 @@ impl MuffinSearch {
             last_checkpoint: 0,
             body_accesses: (0, 0),
         };
-        let mut pool_grew = false;
         if opts.resume {
             let path = opts
                 .checkpoint
                 .as_ref()
                 .expect("validated by run_persistent");
             let fp = fingerprint.expect("checkpoint path set");
-            pool_grew = self.resume_from(&mut state, rng, path, fp)?;
+            self.resume_from(&mut state, rng, path, fp)?;
         } else {
             state.seed_stream_seed = rng.next_u64();
             state.history = Vec::with_capacity(self.config.episodes as usize);
@@ -824,44 +804,6 @@ impl MuffinSearch {
         if let Some(path) = &opts.eval_cache {
             let fp = fingerprint.expect("eval cache path set");
             self.warm_from_eval_cache(&mut state, path, fp)?;
-        }
-
-        // After a pool extension, the cached records were re-keyed through
-        // model content ids. Re-validate the best candidate so far from
-        // the cache before searching on: its action vector must still
-        // unite exactly the models its episode recorded, or the re-keying
-        // (or a pool edit the fingerprint could not see) scrambled model
-        // identity.
-        if pool_grew {
-            let best = state
-                .history
-                .iter()
-                .max_by(|a, b| a.reward.total_cmp(&b.reward));
-            if let Some(best) = best {
-                match state.cache.get(&best.actions) {
-                    Some(record) if record.model_names == best.model_names => {
-                        // Served from cache, not re-evaluated; the disk
-                        // counter keeps its meaning of "episodes answered
-                        // by records loaded from --eval-cache".
-                        if state.disk_origin.contains(&best.actions) {
-                            self.tracer.count("search.cache_hit_disk", 1);
-                        }
-                        let names = record.model_names.join(" + ");
-                        self.tracer.progress(|| {
-                            format!("re-validated best candidate ({names}) from the eval cache")
-                        });
-                    }
-                    Some(record) => {
-                        return Err(MuffinError::StaleArtifact(format!(
-                            "eval cache re-keying maps the best candidate to {}, but its \
-                             episode recorded {}",
-                            record.model_names.join(" + "),
-                            best.model_names.join(" + ")
-                        )))
-                    }
-                    None => {}
-                }
-            }
         }
 
         // Per-episode head seeds, pre-derived so evaluation order (and the
@@ -882,17 +824,18 @@ impl MuffinSearch {
         Ok(state)
     }
 
-    /// Loads the checkpoint at `path` into `state` and the caller's RNG,
-    /// warm-starting the controller when the pool grew since the
-    /// checkpoint. Returns whether it did.
+    /// Loads the checkpoint at `path` into `state` and the caller's RNG.
+    /// The checkpoint must have been written by this exact run
+    /// ([`SearchCheckpoint::load`]): a pool that grew since is rejected
+    /// like any other pool change.
     fn resume_from(
         &self,
         state: &mut LoopState,
         rng: &mut Rng64,
         path: &std::path::Path,
         fingerprint: &SearchFingerprint,
-    ) -> Result<bool, MuffinError> {
-        let (ckpt, relation) = SearchCheckpoint::load_for_resume(path, fingerprint)?;
+    ) -> Result<(), MuffinError> {
+        let ckpt = SearchCheckpoint::load(path, fingerprint)?;
         if ckpt.episode > self.config.episodes {
             return Err(MuffinError::StaleArtifact(format!(
                 "checkpoint {} already covers {} episodes, more than the requested {}",
@@ -914,44 +857,7 @@ impl MuffinSearch {
                 ckpt.target_episodes
             )));
         }
-        let pool_grew = match &relation {
-            PoolRelation::Identical => {
-                state.controller.import_state(ckpt.controller)?;
-                false
-            }
-            PoolRelation::Grew { added } => {
-                // Warm start over the grown pool: rebuild the controller
-                // for the new space from a deterministic extension stream
-                // (so the new models' logits and embedding rows are
-                // reproducible), then graft every learned parameter and
-                // optimizer moment back in.
-                let ext_seed =
-                    SplitMix64::new(ckpt.seed_stream_seed ^ fnv1a64(b"pool-extension")).next_u64();
-                state.controller = RnnController::new(
-                    self.space.clone(),
-                    self.config.controller,
-                    &mut Rng64::seed(ext_seed),
-                );
-                state
-                    .controller
-                    .import_extended(&ckpt.fingerprint.space, ckpt.controller)?;
-                let names: Vec<String> = added.iter().map(ToString::to_string).collect();
-                self.tracer.progress(|| {
-                    format!(
-                        "pool grew since checkpoint: warm-starting over {} added model(s): {}",
-                        names.len(),
-                        names.join(", ")
-                    )
-                });
-                true
-            }
-            // load_for_resume never returns Changed.
-            PoolRelation::Changed { .. } => {
-                return Err(MuffinError::StaleArtifact(
-                    "checkpoint pool relation must be identical or grown".into(),
-                ))
-            }
-        };
+        state.controller.import_state(ckpt.controller)?;
         *rng = Rng64::from_state(ckpt.rng_state);
         state.seed_stream_seed = ckpt.seed_stream_seed;
         state.episode = ckpt.episode;
@@ -966,7 +872,7 @@ impl MuffinSearch {
                 ckpt.episode
             )
         });
-        Ok(pool_grew)
+        Ok(())
     }
 
     /// Adds the records of the cross-run eval cache at `path` (when it
@@ -1072,7 +978,6 @@ impl MuffinSearch {
                 bodies,
                 &sampled[k].actions,
                 head_seeds[first_seen as usize],
-                None,
                 first_seen,
                 &forks[idx],
             );

@@ -42,19 +42,51 @@ impl Dataset {
         schema: AttributeSchema,
         group_ids: Vec<Vec<u16>>,
     ) -> Self {
-        let n = features.rows();
-        assert_eq!(labels.len(), n, "labels/features mismatch");
-        assert!(labels.iter().all(|&l| l < num_classes), "label out of range");
-        assert_eq!(group_ids.len(), schema.len(), "one group vector per attribute required");
-        for (i, groups) in group_ids.iter().enumerate() {
-            assert_eq!(groups.len(), n, "group ids/features mismatch for attribute {i}");
-            let limit = schema.get(AttributeId::new(i)).expect("attribute in range").num_groups();
-            assert!(
-                groups.iter().all(|&g| (g as usize) < limit),
-                "group id out of range for attribute {i}"
-            );
+        let dataset = Self { features, labels, num_classes, schema, group_ids };
+        dataset.check_invariants().unwrap_or_else(|msg| panic!("{msg}"));
+        dataset
+    }
+
+    /// Checks the invariants every dataset holds: one label per feature
+    /// row, every label below `num_classes`, one group vector per schema
+    /// attribute with one entry per row, and every group id below its
+    /// attribute's group count. The error names the field, the index and
+    /// the bound of the first violation.
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
+        let (n, len, classes) = (self.features.rows(), self.labels.len(), self.num_classes);
+        if len != n {
+            return Err(format!("labels/features mismatch: {len} labels for {n} feature rows"));
         }
-        Self { features, labels, num_classes, schema, group_ids }
+        if let Some(i) = self.labels.iter().position(|&l| l >= classes) {
+            let label = self.labels[i];
+            return Err(format!(
+                "label out of range: labels[{i}] = {label}, must be below num_classes = {classes}"
+            ));
+        }
+        let (vectors, attrs) = (self.group_ids.len(), self.schema.len());
+        if vectors != attrs {
+            return Err(format!(
+                "one group vector per attribute required: group_ids has {vectors} vectors for \
+                 {attrs} schema attributes"
+            ));
+        }
+        for ((a, attr), groups) in self.schema.iter().zip(&self.group_ids) {
+            let (a, len, limit) = (a.index(), groups.len(), attr.num_groups());
+            if len != n {
+                return Err(format!(
+                    "group ids/features mismatch: group_ids[{a}] has {len} entries for {n} rows"
+                ));
+            }
+            if let Some(i) = groups.iter().position(|&g| g as usize >= limit) {
+                return Err(format!(
+                    "group id out of range: group_ids[{a}][{i}] = {}, must be below the {limit} \
+                     groups of attribute {}",
+                    groups[i],
+                    attr.name()
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Number of samples.

@@ -141,8 +141,9 @@ pub enum PoolRelation {
     Identical,
     /// The old pool is a strict prefix of the new one: every recorded
     /// model is still at its old index and `added` models were appended.
-    /// This is the safe shape `muffin pool add` produces — artifacts can
-    /// be warm-resumed against it.
+    /// This is the shape `muffin pool add` produces. An eval cache
+    /// re-keys its records across it; a checkpoint does not resume
+    /// across it.
     Grew {
         /// The appended models, in pool order.
         added: Vec<ModelIdentity>,

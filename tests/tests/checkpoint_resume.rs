@@ -11,6 +11,7 @@ use muffin::{
     WorkerPool,
 };
 use muffin_integration_tests::small_fixture;
+use muffin_models::{Architecture, BackboneConfig, ModelPool};
 use muffin_tensor::Rng64;
 use std::path::PathBuf;
 
@@ -208,6 +209,32 @@ fn mismatched_fingerprints_are_rejected_loudly() {
         .expect_err("different batch must be rejected");
     assert!(
         matches!(&err, MuffinError::StaleArtifact(msg) if msg.contains("configuration")),
+        "unexpected error: {err}"
+    );
+
+    // The same run over a pool grown by one appended model: a checkpoint
+    // resumes only the pool it was written for, and the rejection names
+    // the added model by id.
+    let (split, mut pool, grown_rng) = small_fixture(SEED);
+    let added = ModelPool::train(
+        &split.train,
+        &[Architecture::mobilenet_v3_small()],
+        &BackboneConfig::fast(),
+        &mut Rng64::seed(29),
+    );
+    let added_id = added.get(0).expect("one model").identity().to_string();
+    pool.extend(added.iter().cloned());
+    let grown = MuffinSearch::new(pool, split, search.config().clone()).expect("valid search");
+    let err = grown
+        .run_persistent(
+            &mut grown_rng.clone(),
+            &WorkerPool::serial(),
+            &PersistenceOptions::checkpoint_to(&ckpt).with_resume(true),
+        )
+        .expect_err("grown pool must be rejected");
+    assert!(
+        matches!(&err, MuffinError::StaleArtifact(msg)
+            if msg.contains("model pool grew") && msg.contains(&added_id)),
         "unexpected error: {err}"
     );
 
