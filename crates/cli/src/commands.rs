@@ -37,9 +37,9 @@ COMMANDS:
               --epochs N (default 60)     --seed S (default 7)
               --split-seed S (default 7)
               Appending keeps every existing model at its index. A
-              checkpoint of the old pool no longer resumes: start a new
-              search, and its --eval-cache reuses the old pool's records
-              (see docs/OPERATIONS.md §11).
+              checkpoint or eval cache of the old pool is rejected,
+              naming the added models: start a new search with a fresh
+              --eval-cache path (see docs/OPERATIONS.md §11).
   pool remove Remove one model from a pool, by name or 16-hex content id
               --pool FILE  --model NAME|ID (required)
               --outcome FILE (optional: refuse to remove a model that the
@@ -63,7 +63,8 @@ COMMANDS:
                 the outcome is identical for every N)
               --distill-out FILE (optional: distil the best candidate
                 into a single student MLP and save it as JSON)
-              --student-hidden w1,w2 (default 64,32)
+              --student-hidden w1,w2 (default 64,32; needs
+                --distill-out)
               --trace-out FILE (optional: record a structured event log
                 of the run — spans, counters, latency histograms — as
                 deterministic JSON; timings live in an isolated field)
@@ -71,9 +72,10 @@ COMMANDS:
                 the run — RNG position, controller state, history and
                 the evaluation cache — atomically at REINFORCE batch
                 boundaries)
-              --checkpoint-every N (default 10: minimum episodes between
-                checkpoint writes; snapshots land on the next batch
-                boundary, and the final state is always written)
+              --checkpoint-every N (default 10, needs --checkpoint:
+                minimum episodes between checkpoint writes; snapshots
+                land on the next batch boundary, and the final state is
+                always written)
               --resume (continue from --checkpoint instead of starting
                 fresh; the resumed outcome is byte-identical to an
                 uninterrupted run. The checkpoint must match the run's
@@ -208,11 +210,7 @@ const COMMANDS: &[(&str, &[&str], Handler)] = &[
         ],
         crate::matrix::matrix,
     ),
-    (
-        "serve",
-        &["queue-depth", "batch", "workers", "worker-delay-us", "seed"],
-        serve,
-    ),
+    ("serve", &["queue-depth", "batch", "workers", "seed"], serve),
     (
         "loadgen",
         &[
@@ -430,8 +428,8 @@ fn pool_add(args: &Args) -> Result<(), String> {
         println!("  {identity}");
     }
     println!(
-        "existing models kept their indices: a checkpoint of the old pool no longer \
-         resumes; a new `muffin search --eval-cache` reuses its cached evaluations"
+        "existing models kept their indices; checkpoints and eval caches of the old \
+         pool are rejected: start a new `muffin search` with a fresh --eval-cache path"
     );
     Ok(())
 }
@@ -529,6 +527,18 @@ fn search(args: &Args) -> Result<(), String> {
     if batch == 0 {
         return Err("--batch must be at least 1".into());
     }
+    let distill_out = args.get("distill-out");
+    let mut distill = DistillConfig::default();
+    if let Some(v) = args.get("student-hidden") {
+        if distill_out.is_none() {
+            return Err("--student-hidden requires --distill-out".into());
+        }
+        distill.student_hidden = v
+            .split(',')
+            .map(|w| w.trim().parse().ok().filter(|&w: &usize| w > 0))
+            .collect::<Option<_>>()
+            .ok_or_else(|| format!("--student-hidden expects positive widths, got {v}"))?;
+    }
     let trace_out = args.get("trace-out");
     if let Some(path) = trace_out {
         // Fail before the (long) search if the log can't be written.
@@ -551,6 +561,9 @@ fn search(args: &Args) -> Result<(), String> {
     }
     if stop_after.is_some() && checkpoint.is_none() {
         return Err("--stop-after requires --checkpoint".into());
+    }
+    if args.get("checkpoint-every").is_some() && checkpoint.is_none() {
+        return Err("--checkpoint-every requires --checkpoint".into());
     }
     if resume {
         let path = checkpoint.as_ref().expect("validated above");
@@ -640,26 +653,13 @@ fn search(args: &Args) -> Result<(), String> {
         println!("trace log ({} events) written to {path}", log.events.len());
     }
     let best = outcome.best();
-    if let Some(student_path) = args.get("distill-out") {
+    if let Some(student_path) = distill_out {
         let fusing = search.rebuild(best).map_err(|e| e.to_string())?;
-        let hidden: Vec<usize> = args
-            .get_list("student-hidden")
-            .iter()
-            .map(|w| w.parse().map_err(|_| format!("bad student width: {w}")))
-            .collect::<Result<Vec<usize>, String>>()?;
-        let config = DistillConfig {
-            student_hidden: if hidden.is_empty() {
-                vec![64, 32]
-            } else {
-                hidden
-            },
-            ..DistillConfig::default()
-        };
         let distilled = distill_student(
             &fusing,
             search.pool(),
             &search.split().train,
-            &config,
+            &distill,
             &mut Rng64::seed(seed ^ 0xD15),
         )
         .map_err(|e| e.to_string())?;
@@ -685,7 +685,7 @@ fn search(args: &Args) -> Result<(), String> {
 }
 
 /// Parses the shared serving-loop flags (`--queue-depth`, `--batch`,
-/// `--workers`, `--worker-delay-us`) into a [`ServeConfig`].
+/// `--workers`) into a [`ServeConfig`] with no worker delay.
 fn serve_config(args: &Args) -> Result<ServeConfig, String> {
     let queue_depth = args.get_usize("queue-depth", 64)?;
     if queue_depth == 0 {
@@ -699,12 +699,11 @@ fn serve_config(args: &Args) -> Result<ServeConfig, String> {
     if workers == 0 {
         return Err("--workers must be at least 1".into());
     }
-    let worker_delay = Duration::from_micros(args.get_u64("worker-delay-us", 0)?);
     Ok(ServeConfig {
         queue_depth,
         max_batch,
         workers,
-        worker_delay,
+        worker_delay: Duration::ZERO,
     })
 }
 
@@ -759,7 +758,10 @@ fn serve(args: &Args) -> Result<(), String> {
 }
 
 fn loadgen(args: &Args) -> Result<(), String> {
-    let serve = serve_config(args)?;
+    let serve = ServeConfig {
+        worker_delay: Duration::from_micros(args.get_u64("worker-delay-us", 0)?),
+        ..serve_config(args)?
+    };
     let seed = args.get_u64("seed", 7)?;
     let clients = args.get_usize("clients", 4)?;
     if clients == 0 {

@@ -26,6 +26,7 @@ fn quiet_search_is_silent_on_stderr_and_verbose_is_not() {
     let pool = tmp("pool.json");
     let outcome = tmp("outcome.json");
     let trace = tmp("trace.json");
+    let student = tmp("student.json");
 
     let gen = muffin(&[
         "generate",
@@ -82,8 +83,9 @@ fn quiet_search_is_silent_on_stderr_and_verbose_is_not() {
         v.iter().map(|s| s.to_string()).collect::<Vec<_>>()
     };
 
-    // Quiet run: stderr stays empty.
-    let quiet_args = search_args(&[]);
+    // Quiet run, distilling the best candidate: stderr stays empty, and
+    // the student is an MLP of the default hidden widths.
+    let quiet_args = search_args(&["--distill-out", &student]);
     let quiet = muffin(&quiet_args.iter().map(String::as_str).collect::<Vec<_>>());
     assert!(
         quiet.status.success(),
@@ -95,6 +97,9 @@ fn quiet_search_is_silent_on_stderr_and_verbose_is_not() {
         "quiet search leaked to stderr: {}",
         String::from_utf8_lossy(&quiet.stderr)
     );
+    let student_json = std::fs::read_to_string(&student).expect("student written");
+    let mlp: muffin_nn::Mlp = muffin_json::from_str(&student_json).expect("student parses");
+    assert_eq!(mlp.spec().hidden(), &[64, 32]);
 
     // Verbose run: progress lines appear on stderr, result stays on stdout.
     let verbose_args = search_args(&["--verbose", "--trace-out", &trace]);
@@ -128,7 +133,7 @@ fn quiet_search_is_silent_on_stderr_and_verbose_is_not() {
         "missing counter row: {text}"
     );
 
-    for f in [data, pool, outcome, trace] {
+    for f in [data, pool, outcome, trace, student] {
         std::fs::remove_file(f).ok();
     }
 }
@@ -521,9 +526,9 @@ fn pool_lifecycle_grows_rejects_stale_resume_and_guards_chosen_models() {
         String::from_utf8_lossy(&dup.stderr)
     );
 
-    // Phase 3: a checkpoint resumes only the pool it was written for.
-    // Resuming over the grown pool fails, naming each added model by id,
-    // and leaves the checkpoint and the eval cache untouched.
+    // Phase 3: a checkpoint and an eval cache serve only the pool they
+    // were written for. Over the grown pool each is rejected, naming
+    // every added model by id, and both files stay untouched.
     let added: Vec<&str> = add_stdout
         .lines()
         .filter_map(|line| line.strip_prefix("  "))
@@ -563,31 +568,41 @@ fn pool_lifecycle_grows_rejects_stale_resume_and_guards_chosen_models() {
         "a rejected resume rewrote the eval cache"
     );
 
-    // A new search over the grown pool loads the old pool's eval cache,
-    // its records re-keyed through model content ids.
-    let fresh = run_search(&search_cmd(
-        &data,
-        &pool,
-        &out,
-        &["--eval-cache", &cache, "--verbose"],
-    ));
-    let stderr = String::from_utf8_lossy(&fresh.stderr);
+    let out_before = std::fs::read(&out).ok();
+    let warm = run_search(&search_cmd(&data, &pool, &out, &["--eval-cache", &cache]));
+    let stderr = String::from_utf8_lossy(&warm.stderr);
+    assert_eq!(
+        warm.status.code(),
+        Some(1),
+        "an eval cache written before pool add must be rejected: {stderr}"
+    );
+    assert!(
+        stderr.contains("model pool grew") && stderr.contains("pass a fresh path"),
+        "{stderr}"
+    );
+    for identity in &added {
+        assert!(
+            stderr.contains(identity),
+            "the rejection must name {identity}: {stderr}"
+        );
+    }
+    assert!(
+        cache_bytes == std::fs::read(&cache).expect("eval cache bytes after"),
+        "a rejected search rewrote the eval cache"
+    );
+    assert_eq!(
+        out_before,
+        std::fs::read(&out).ok(),
+        "a rejected search wrote an outcome"
+    );
+
+    // The operator starts a new search over the grown pool.
+    let fresh = run_search(&search_cmd(&data, &pool, &out, &[]));
     assert!(
         fresh.status.success(),
-        "new search over the grown pool failed: {stderr}"
+        "new search over the grown pool failed: {}",
+        String::from_utf8_lossy(&fresh.stderr)
     );
-    let loaded: usize = stderr
-        .lines()
-        .filter(|line| line.contains("eval cache") && line.ends_with(" record(s)"))
-        .find_map(|line| {
-            line.trim_end_matches(" record(s)")
-                .rsplit(' ')
-                .next()?
-                .parse()
-                .ok()
-        })
-        .unwrap_or_else(|| panic!("no eval cache load line: {stderr}"));
-    assert!(loaded > 0, "the eval cache served no records: {stderr}");
     let outcome = muffin::SearchOutcome::load_json(&out).expect("outcome parses");
 
     // Phase 4: `pool list` names every model with its content id.
@@ -934,18 +949,30 @@ fn serve_and_loadgen_reject_bad_flags_before_training_anything() {
 #[test]
 fn zero_slots_is_rejected_before_any_file_is_read() {
     // The input paths do not exist: the flag check must fire before any
-    // file is opened, naming the flag instead of panicking.
+    // file is opened, naming the flag instead of panicking. The search
+    // cases also cover a bad student width and a flag missing the flag
+    // it depends on.
     let out_dir = tmp("zero_slots_matrix");
     let data = tmp("zero_samples_data.json");
     std::fs::remove_file(&data).ok();
     let search = "search --data /nonexistent/data.json --pool /nonexistent/pool.json \
-                  --attrs age --out /nonexistent/outcome.json --slots 0"
-        .to_string();
+                  --attrs age --out /nonexistent/outcome.json";
+    let distill = format!("{search} --distill-out /nonexistent/student.json");
     let matrix = format!("matrix --scenarios german-credit --out-dir {out_dir} --slots 0");
     let isic = format!("generate --out {data} --samples 0");
     let fitzpatrick = format!("generate --dataset fitzpatrick --out {data} --samples 0");
     for (command, flag) in [
-        (search, "--slots"),
+        (format!("{search} --slots 0"), "--slots"),
+        (
+            format!("{distill} --student-hidden 8,x"),
+            "--student-hidden",
+        ),
+        (format!("{distill} --student-hidden 0"), "--student-hidden"),
+        (format!("{search} --student-hidden 8,4"), "--distill-out"),
+        (
+            format!("{search} --checkpoint-every 3"),
+            "--checkpoint-every",
+        ),
         (matrix, "--slots"),
         (isic, "--samples"),
         (fitzpatrick, "--samples"),
@@ -994,6 +1021,7 @@ fn every_command_rejects_flags_it_does_not_read_before_any_file_is_read() {
         format!("{search} --shards 2"),
         format!("matrix --scenarios german-credit --out-dir {out_dir} --attrs age"),
         "serve --clients 4".to_string(),
+        "serve --worker-delay-us 5".to_string(),
         format!("loadgen --out {out} --samples 10"),
         format!("report --outcome {outcome} --episodes 3"),
         format!("trace summarize --trace {outcome} --top 3"),

@@ -24,11 +24,11 @@
 //! producing a drifted search, and a cache write never merges in records
 //! of another run, so a cache changes wall-clock time, never the outcome.
 //!
-//! A checkpoint resumes only the pool it was written for: after
-//! `muffin pool add` it is rejected, naming the added models, and the
-//! operator starts a new search. The eval cache alone survives that
-//! growth, its records re-keyed through model content ids
-//! ([`EvalCacheFile::load_warm`]).
+//! Both serve only the pool they were written for: after `muffin pool
+//! add` each is rejected, naming the added models by id, and the operator
+//! starts a new search with a fresh cache path. A cached record was
+//! trained from its own run's head seed, which a search over the grown
+//! pool would not draw, so serving it would change the outcome.
 //!
 //! [`SearchOutcome`]: crate::SearchOutcome
 
@@ -70,10 +70,9 @@ pub struct SearchFingerprint {
     pub space: SearchSpace,
     /// [`fnv1a64`] over the serialised model pool.
     pub pool_hash: u64,
-    /// The pool's ordered per-model content ids. This is what lets an
-    /// eval cache tell a pool *extension* (old manifest is a prefix of
-    /// the new one) apart from a genuine pool *change*, and lets
-    /// rejection messages name the models involved.
+    /// The pool's ordered per-model content ids, so a rejection names
+    /// each model added, removed or mutated since the artifact was
+    /// written.
     pub manifest: PoolManifest,
     /// [`fnv1a64`] over the serialised train/val/test split.
     pub data_hash: u64,
@@ -153,71 +152,6 @@ impl SearchFingerprint {
             // (unit fixtures) or byte-level drift outside any model.
             PoolRelation::Identical => "model pool changed".to_string(),
             relation => relation.describe(),
-        }
-    }
-
-    /// Classifies an eval cache's fingerprint (`old`, read from disk)
-    /// against the current run (`self`), so the cache survives pool
-    /// growth ([`EvalCacheFile::load_warm`]). Checkpoints never use it.
-    ///
-    /// Returns the pool relation when every non-pool component matches
-    /// and the pool either matches too ([`PoolRelation::Identical`]) or
-    /// strictly grew ([`PoolRelation::Grew`]: the old pool is a prefix of
-    /// the new one, so every recorded pool index still names the same
-    /// model). The search space is allowed to differ in its pool size
-    /// only. Any other difference — including removed, mutated, inserted
-    /// or reordered models — is an error naming what changed.
-    ///
-    /// `ignore_rng` matches [`Self::mismatch_ignoring_rng`]: pass `true`
-    /// to accept artifacts written under another seed.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first disqualifying
-    /// difference; required models that vanished from the pool are named
-    /// by identity.
-    pub fn growth_from(&self, old: &Self, ignore_rng: bool) -> Result<PoolRelation, String> {
-        if !ignore_rng && self.rng_state != old.rng_state {
-            return Err("rng seed/state changed".to_string());
-        }
-        if muffin_json::to_string(&self.config) != muffin_json::to_string(&old.config) {
-            return Err("search configuration changed".to_string());
-        }
-        if self.data_hash != old.data_hash {
-            return Err("dataset split changed".to_string());
-        }
-        // A required model must survive any pool edit *at its recorded
-        // index*: report it by identity before the generic pool verdict.
-        for &index in old.space.required_models() {
-            if old.manifest.get(index).is_some() && self.manifest.get(index) != old.manifest.get(index)
-            {
-                let ident = old.manifest.get(index).expect("checked above");
-                return Err(format!(
-                    "required model {ident} is no longer at pool index {index}"
-                ));
-            }
-        }
-        let relation = old.manifest.relation_to(&self.manifest);
-        match relation {
-            PoolRelation::Identical => {
-                if self.pool_hash != old.pool_hash {
-                    return Err("model pool changed".to_string());
-                }
-                if muffin_json::to_string(&self.space) != muffin_json::to_string(&old.space) {
-                    return Err("search space changed".to_string());
-                }
-                Ok(PoolRelation::Identical)
-            }
-            PoolRelation::Grew { added } => {
-                let shrunk = self.space.clone().with_pool_size(old.space.pool_size());
-                match shrunk {
-                    Ok(s) if muffin_json::to_string(&s) == muffin_json::to_string(&old.space) => {
-                        Ok(PoolRelation::Grew { added })
-                    }
-                    _ => Err("search space changed beyond the pool size".to_string()),
-                }
-            }
-            changed => Err(changed.describe()),
         }
     }
 }
@@ -364,95 +298,28 @@ impl EvalCacheFile {
     ///
     /// * [`MuffinError::Io`] if the file exists but cannot be read;
     /// * [`MuffinError::StaleArtifact`] if it does not parse or does not
-    ///   match `expected`.
+    ///   match `expected`. A pool that grew since the cache was written
+    ///   is such a difference; the message names each added model by id.
     pub fn load(
         path: impl AsRef<Path>,
         expected: &SearchFingerprint,
     ) -> Result<Option<Self>, MuffinError> {
-        let path = path.as_ref();
-        let Some(cache) = Self::parse_checked(path)? else {
-            return Ok(None);
-        };
-        if let Some(what) = expected.mismatch(&cache.fingerprint) {
-            return Err(MuffinError::StaleArtifact(format!(
-                "eval cache {} belongs to a different run: {what} — \
-                 delete it or pass a fresh path",
-                path.display()
-            )));
-        }
-        Ok(Some(cache))
+        Self::load_warm(path, expected, false)
     }
 
-    /// Loads a cache for a run whose pool may have **grown** since the
-    /// cache was written ([`SearchFingerprint::growth_from`]).
-    ///
-    /// On success the cache comes with the pool relation:
-    /// [`PoolRelation::Identical`] is a plain warm cache,
-    /// [`PoolRelation::Grew`] means the cache was written against a
-    /// prefix of the current pool — call [`Self::rekey_records`] before
-    /// use so every record's slot entries index the current pool.
-    /// `shared` accepts a cache written under another seed
-    /// ([`SearchFingerprint::mismatch_ignoring_rng`]); searches pass
-    /// `false`.
+    /// [`Self::load`], except that `shared` accepts a cache written under
+    /// another seed ([`SearchFingerprint::mismatch_ignoring_rng`]). No
+    /// search passes `true`.
     ///
     /// # Errors
     ///
-    /// As [`Self::load`]; pool edits other than pure growth are rejected
-    /// naming the added/removed/mutated models by id.
+    /// As [`Self::load`].
     pub fn load_warm(
         path: impl AsRef<Path>,
         expected: &SearchFingerprint,
         shared: bool,
-    ) -> Result<Option<(Self, PoolRelation)>, MuffinError> {
+    ) -> Result<Option<Self>, MuffinError> {
         let path = path.as_ref();
-        let Some(cache) = Self::parse_checked(path)? else {
-            return Ok(None);
-        };
-        let strict = if shared {
-            expected.mismatch_ignoring_rng(&cache.fingerprint)
-        } else {
-            expected.mismatch(&cache.fingerprint)
-        };
-        if strict.is_none() {
-            return Ok(Some((cache, PoolRelation::Identical)));
-        }
-        match expected.growth_from(&cache.fingerprint, shared) {
-            Ok(relation) => Ok(Some((cache, relation))),
-            Err(what) => Err(MuffinError::StaleArtifact(format!(
-                "eval cache {} belongs to a different run: {what} — \
-                 delete it or pass a fresh path",
-                path.display()
-            ))),
-        }
-    }
-
-    /// Re-keys every record's slot entries from the pool this cache was
-    /// written against ([`SearchFingerprint::manifest`]) to `new`: each
-    /// chosen model translates pool index → content id → index in `new`.
-    /// Records choosing a model absent from `new` are dropped. Returns
-    /// the number of records dropped.
-    ///
-    /// Under pure prefix growth this is the identity map — the method
-    /// exists so cache reuse is keyed by model *ids*, never by the
-    /// accident of pool position.
-    pub fn rekey_records(&mut self, num_slots: usize, new: &PoolManifest) -> usize {
-        let old = self.fingerprint.manifest.clone();
-        let before = self.records.len();
-        self.records.retain_mut(|record| {
-            for slot in record.actions.iter_mut().take(num_slots) {
-                let Some(idx) = old.get(*slot).and_then(|e| new.index_of_id(e.id)) else {
-                    return false;
-                };
-                *slot = idx;
-            }
-            true
-        });
-        before - self.records.len()
-    }
-
-    /// Reads, parses and version-checks a cache file, without any
-    /// fingerprint comparison. Missing or empty files are `Ok(None)`.
-    fn parse_checked(path: &Path) -> Result<Option<Self>, MuffinError> {
         let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -477,6 +344,18 @@ impl EvalCacheFile {
                 "eval cache {} has version {}, this build reads version {CHECKPOINT_VERSION}",
                 path.display(),
                 cache.version
+            )));
+        }
+        let stale = if shared {
+            expected.mismatch_ignoring_rng(&cache.fingerprint)
+        } else {
+            expected.mismatch(&cache.fingerprint)
+        };
+        if let Some(what) = stale {
+            return Err(MuffinError::StaleArtifact(format!(
+                "eval cache {} belongs to a different run: {what} — \
+                 delete it or pass a fresh path",
+                path.display()
             )));
         }
         Ok(Some(cache))
@@ -830,99 +709,6 @@ mod tests {
     }
 
     #[test]
-    fn growth_from_accepts_prefix_growth_and_rejects_everything_else() {
-        let mut old = fingerprint(0);
-        old.manifest = PoolManifest::new(vec![entry("a", 1), entry("b", 2)]);
-
-        let mut same = old.clone();
-        assert_eq!(
-            same.growth_from(&old, false).expect("identical pools"),
-            PoolRelation::Identical
-        );
-        same.rng_state[0] ^= 1;
-        assert!(same
-            .growth_from(&old, false)
-            .unwrap_err()
-            .contains("rng seed/state"));
-        // The shared-artifact rule ignores the rng difference.
-        assert_eq!(
-            same.growth_from(&old, true).expect("rng ignored"),
-            PoolRelation::Identical
-        );
-
-        // Prefix growth: accepted, naming the appended models, with the
-        // space allowed to differ in pool size only.
-        let config = SearchConfig::fast(&["age"]);
-        let mut grown = SearchFingerprint::new(
-            [0, 1, 2, 3],
-            &config,
-            &SearchSpace::paper_default(4),
-            "bigger pool",
-            PoolManifest::new(vec![entry("a", 1), entry("b", 2), entry("c", 3), entry("d", 4)]),
-            "data",
-        );
-        match grown.growth_from(&old, false).expect("grown pool") {
-            PoolRelation::Grew { added } => {
-                assert_eq!(added, vec![entry("c", 3), entry("d", 4)]);
-            }
-            other => panic!("expected growth, got {other:?}"),
-        }
-
-        // Same manifest shape but a slot-count change: the cache is stale.
-        grown.config.num_slots += 1;
-        assert!(grown
-            .growth_from(&old, false)
-            .unwrap_err()
-            .contains("configuration"));
-        grown.config.num_slots -= 1;
-
-        // Removal is named by model id.
-        let shrunk = SearchFingerprint::new(
-            [0, 1, 2, 3],
-            &config,
-            &SearchSpace::paper_default(1),
-            "smaller pool",
-            PoolManifest::new(vec![entry("a", 1)]),
-            "data",
-        );
-        let err = shrunk.growth_from(&old, false).unwrap_err();
-        assert!(err.contains("removed b (id 0000000000000002)"), "{err}");
-    }
-
-    #[test]
-    fn growth_from_names_a_required_model_that_moved_or_vanished() {
-        let config = SearchConfig::fast(&["age"]);
-        let space = SearchSpace::paper_default(2)
-            .with_required_models(vec![1])
-            .expect("in range");
-        let old = SearchFingerprint::new(
-            [0, 1, 2, 3],
-            &config,
-            &space,
-            "pool",
-            PoolManifest::new(vec![entry("a", 1), entry("b", 2)]),
-            "data",
-        );
-        // `pool remove b` dangles the required index: the error names the
-        // model, not the index alone.
-        let new = SearchFingerprint::new(
-            [0, 1, 2, 3],
-            &config,
-            &SearchSpace::paper_default(1)
-                .with_required_models(vec![])
-                .expect("in range"),
-            "pool without b",
-            PoolManifest::new(vec![entry("a", 1)]),
-            "data",
-        );
-        let err = new.growth_from(&old, false).unwrap_err();
-        assert!(
-            err.contains("required model b (id 0000000000000002)"),
-            "{err}"
-        );
-    }
-
-    #[test]
     fn missing_or_empty_eval_cache_is_cold_not_fatal() {
         let fp = fingerprint(0);
         let dir = std::env::temp_dir().join("muffin_ckpt_unit");
@@ -1008,11 +794,10 @@ mod tests {
         let err = EvalCacheFile::load(&path, &fingerprint(0)).unwrap_err();
         assert!(err.to_string().contains("rng seed/state"), "{err}");
         // Shared load: accepted.
-        let (loaded, relation) = EvalCacheFile::load_warm(&path, &fingerprint(0), true)
+        let loaded = EvalCacheFile::load_warm(&path, &fingerprint(0), true)
             .expect("shared load")
             .expect("present");
         assert_eq!(loaded.records.len(), 1);
-        assert_eq!(relation, PoolRelation::Identical);
         // Shared load still rejects a genuinely different run.
         let mut other = fingerprint(0);
         other.pool_hash ^= 1;

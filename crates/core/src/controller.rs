@@ -124,28 +124,6 @@ impl SearchSpace {
         Ok(self)
     }
 
-    /// Same space indexing into a different pool size. The pool
-    /// lifecycle layer uses this to compare a grown pool's space against
-    /// the one an eval cache recorded.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MuffinError::EmptyPool`] for a zero pool size and
-    /// [`MuffinError::InvalidConfig`] when a required model index does
-    /// not fit the new pool.
-    pub fn with_pool_size(mut self, pool_size: usize) -> Result<Self, MuffinError> {
-        if pool_size == 0 {
-            return Err(MuffinError::EmptyPool);
-        }
-        if let Some(&bad) = self.required_models.iter().find(|&&i| i >= pool_size) {
-            return Err(MuffinError::InvalidConfig(format!(
-                "required model {bad} out of range for pool of {pool_size}"
-            )));
-        }
-        self.pool_size = pool_size;
-        Ok(self)
-    }
-
     /// The models forced into every candidate.
     pub fn required_models(&self) -> &[usize] {
         &self.required_models
@@ -884,15 +862,5 @@ mod tests {
         assert_eq!(s.num_slots(), 4);
         assert_eq!(s.num_steps(), 4 + 1 + 4 + 1);
         assert!(space().with_slots(0).is_err());
-    }
-
-    #[test]
-    fn pool_size_can_be_regrown_but_not_below_required_models() {
-        let s = space().with_pool_size(12).expect("grow");
-        assert_eq!(s.pool_size(), 12);
-        assert_eq!(s.with_pool_size(4).expect("shrink back"), space());
-        assert!(space().with_pool_size(0).is_err());
-        let required = space().with_required_models(vec![3]).expect("in range");
-        assert!(required.with_pool_size(3).is_err());
     }
 }

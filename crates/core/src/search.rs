@@ -7,7 +7,7 @@ use crate::{
     SearchSpace,
 };
 use muffin_data::{AttributeId, Dataset, DatasetSplit};
-use muffin_models::{ModelEvaluation, ModelPool, PoolRelation};
+use muffin_models::{ModelEvaluation, ModelPool};
 use muffin_par::WorkerPool;
 use muffin_tensor::{Rng64, SplitMix64};
 use muffin_trace::{Field, Tracer};
@@ -876,33 +876,17 @@ impl MuffinSearch {
     }
 
     /// Adds the records of the cross-run eval cache at `path` (when it
-    /// exists and matches `fingerprint`) to `state`'s candidate cache,
-    /// re-keying them if the pool grew since they were written.
+    /// exists and matches `fingerprint`, [`EvalCacheFile::load`]) to
+    /// `state`'s candidate cache.
     fn warm_from_eval_cache(
         &self,
         state: &mut LoopState,
         path: &std::path::Path,
         fingerprint: &SearchFingerprint,
     ) -> Result<(), MuffinError> {
-        let Some((mut file, relation)) = EvalCacheFile::load_warm(path, fingerprint, false)? else {
+        let Some(file) = EvalCacheFile::load(path, fingerprint)? else {
             return Ok(());
         };
-        if matches!(relation, PoolRelation::Grew { .. }) {
-            // The cache predates the pool extension: translate every
-            // record's chosen models through their content ids into
-            // current pool indices (the identity map under prefix growth,
-            // but keyed by id on principle).
-            let dropped = file.rekey_records(self.space.num_slots(), &self.pool.manifest());
-            if dropped > 0 {
-                self.tracer.progress(|| {
-                    format!(
-                        "eval cache {}: dropped {dropped} record(s) naming models \
-                         absent from the current pool",
-                        path.display()
-                    )
-                });
-            }
-        }
         self.tracer.progress(|| {
             format!(
                 "eval cache {}: {} record(s)",

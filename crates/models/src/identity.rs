@@ -1,14 +1,14 @@
 //! Content-addressed model identity: stable per-model ids, the ordered
-//! [`PoolManifest`], and the pool-relation classifier that tells a safe
-//! pool *extension* apart from a genuine pool *change*.
+//! [`PoolManifest`], and the pool-relation classifier that tells a pool
+//! *extension* apart from any other pool *change*.
 //!
 //! Muffin unites *off-the-shelf* models, and off-the-shelf pools evolve:
 //! new backbones arrive, stale ones retire. Search artifacts (checkpoints,
-//! eval caches) must survive the safe edits and reject the unsafe ones
-//! with a message that names the models involved. The unit of identity is
-//! the [`fnv1a64`] hash of a model's own serialised bytes — two models are
-//! the same exactly when they would behave identically, regardless of
-//! where they sit in the pool.
+//! eval caches) serve only the pool they were written for and reject any
+//! edited pool with a message that names the models involved. The unit of
+//! identity is the [`fnv1a64`] hash of a model's own serialised bytes —
+//! two models are the same exactly when they would behave identically,
+//! regardless of where they sit in the pool.
 
 use crate::{FrozenModel, ModelPool};
 
@@ -141,9 +141,8 @@ pub enum PoolRelation {
     Identical,
     /// The old pool is a strict prefix of the new one: every recorded
     /// model is still at its old index and `added` models were appended.
-    /// This is the shape `muffin pool add` produces. An eval cache
-    /// re-keys its records across it; a checkpoint does not resume
-    /// across it.
+    /// This is the shape `muffin pool add` produces. Neither a checkpoint
+    /// nor an eval cache carries across it; the rejection names `added`.
     Grew {
         /// The appended models, in pool order.
         added: Vec<ModelIdentity>,

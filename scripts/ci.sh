@@ -53,7 +53,7 @@ echo "==> checkpoint/resume + persistent eval cache"
 cargo test -q --offline -p muffin-integration-tests --test checkpoint_resume
 cargo test -q --offline -p muffin-cli --test cli_process
 
-echo "==> pool lifecycle: content-addressed ids + growth e2e (resume rejected, eval cache reused)"
+echo "==> pool lifecycle: content-addressed ids + growth e2e (resume and eval cache rejected)"
 cargo test -q --offline -p muffin-models --test identity_props
 cargo test -q --offline -p muffin-cli --test cli_process pool_lifecycle
 

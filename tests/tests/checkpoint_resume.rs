@@ -177,11 +177,12 @@ fn eval_cache_from_a_shorter_run_accelerates_a_longer_one() {
 fn mismatched_fingerprints_are_rejected_loudly() {
     let (search, rng) = search_with(4, 2);
     let ckpt = tmp("fingerprint_reject.json");
+    let cache = tmp("fingerprint_reject_cache.json");
     search
         .run_persistent(
             &mut rng.clone(),
             &WorkerPool::serial(),
-            &PersistenceOptions::checkpoint_to(&ckpt),
+            &PersistenceOptions::checkpoint_to(&ckpt).with_eval_cache(&cache),
         )
         .expect("seed run");
 
@@ -238,6 +239,24 @@ fn mismatched_fingerprints_are_rejected_loudly() {
         "unexpected error: {err}"
     );
 
+    // An eval cache follows the same rule: its records were trained from
+    // the old run's head seeds, so a search over the grown pool rejects
+    // it by the added model's id and leaves the file as it was.
+    let cache_bytes = std::fs::read(&cache).expect("seed run wrote the cache");
+    let err = grown
+        .run_persistent(
+            &mut grown_rng.clone(),
+            &WorkerPool::serial(),
+            &PersistenceOptions::default().with_eval_cache(&cache),
+        )
+        .expect_err("a cache written before growth must be rejected");
+    assert!(
+        matches!(&err, MuffinError::StaleArtifact(msg)
+            if msg.contains("model pool grew") && msg.contains(&added_id)),
+        "unexpected error: {err}"
+    );
+    assert_eq!(std::fs::read(&cache).expect("cache bytes"), cache_bytes);
+
     // Same checkpoint misused as an eval cache: also rejected (different
     // schema ⇒ corrupt), never silently read.
     let err = search
@@ -252,6 +271,7 @@ fn mismatched_fingerprints_are_rejected_loudly() {
         "unexpected error: {err}"
     );
     std::fs::remove_file(ckpt).ok();
+    std::fs::remove_file(cache).ok();
 }
 
 #[test]
