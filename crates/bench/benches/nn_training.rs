@@ -1,7 +1,9 @@
 //! Benches for the neural-network substrate: forward passes, the training
-//! step muffin heads take, and the Eq. 2 weighted-MSE loss they train with.
+//! steps muffin heads and pool backbones take, and the Eq. 2 weighted-MSE
+//! loss heads train with.
 
 use muffin_bench::timing::{black_box, Harness};
+use muffin_models::Architecture;
 use muffin_nn::{
     one_hot, weighted_cross_entropy_loss, weighted_mse_loss, Activation, Mlp, MlpCache, MlpSpec,
     Optimizer, Parameterized, SgdConfig,
@@ -10,7 +12,7 @@ use muffin_tensor::{Init, Matrix, Rng64};
 
 /// Classes every head predicts, as in the benchmark's scenarios.
 const CLASSES: usize = 8;
-/// Mini-batch size and gradient-norm clip of head training.
+/// Mini-batch size and gradient-norm clip of head and backbone training.
 const BATCH: usize = 64;
 const GRAD_CLIP: f32 = 5.0;
 
@@ -61,6 +63,43 @@ fn bench_head_train_steps(h: &mut Harness) {
     }
 }
 
+/// One `ClassifierTrainer::fit` step (forward, cross-entropy, backward,
+/// clip, SGD at the paper schedule's first rate) for each backbone of the
+/// repository benchmark's four-model pool, on a 64-row batch of projected
+/// features: ResNet-18 16→64→32→8, DenseNet121 16→72→32→8, MobileNet_V2
+/// 14→48→8 and ShuffleNet_V2_X1_0 12→32→8.
+fn bench_backbone_train_steps(h: &mut Harness) {
+    let pool = [
+        Architecture::resnet18(),
+        Architecture::densenet121(),
+        Architecture::mobilenet_v2(),
+        Architecture::shufflenet_v2_x1_0(),
+    ];
+    for arch in pool {
+        let mut rng = Rng64::seed(7);
+        let spec = MlpSpec::new(arch.projection_dim(), arch.hidden(), CLASSES);
+        let mut mlp = Mlp::new(&spec, &mut rng);
+        let x = Matrix::random(
+            BATCH,
+            arch.projection_dim(),
+            Init::ScaledNormal { std_dev: 1.0 },
+            &mut rng,
+        );
+        let labels: Vec<usize> = (0..BATCH).map(|_| rng.below(CLASSES)).collect();
+        let mut optimizer = Optimizer::sgd(SgdConfig::default());
+        let mut cache = MlpCache::new();
+        h.bench(&format!("backbone_train_step/{}", arch.name()), || {
+            mlp.forward_train_into(&x, &mut cache);
+            let (loss, grad) = weighted_cross_entropy_loss(cache.logits(), &labels, None);
+            mlp.zero_grad();
+            mlp.backward_in_place(&mut cache, &grad);
+            mlp.clip_grad_norm(GRAD_CLIP);
+            optimizer.step(&mut mlp, 0.1);
+            black_box(loss)
+        });
+    }
+}
+
 fn bench_losses(h: &mut Harness) {
     let mut rng = Rng64::seed(5);
     let logits = Matrix::random(256, 8, Init::ScaledNormal { std_dev: 1.0 }, &mut rng);
@@ -77,6 +116,7 @@ fn main() {
     let mut h = Harness::new("nn_training");
     bench_mlp_passes(&mut h);
     bench_head_train_steps(&mut h);
+    bench_backbone_train_steps(&mut h);
     bench_losses(&mut h);
     h.finish();
 }

@@ -23,15 +23,18 @@ fn bench_matmul(h: &mut Harness) {
     });
 }
 
-/// Rows exercising the cache-blocked kernels on the shapes the tiling is
-/// for: tile-aligned squares, ragged widths that force a padded stride,
-/// and the transposed variants at a size where blocking matters.
+/// Rows first written for the cache-blocked kernels the register-panel
+/// kernels replaced; the names stay so that `scripts/bench-compare.sh`
+/// still pairs them with older results. They time several-panel products:
+/// a ragged width that forces a padded stride and a tail panel, the
+/// head-training batch shape, and the transposed variants over a shared
+/// dimension of four 32-step chunks.
 fn bench_matmul_blocked(h: &mut Harness) {
     let mut rng = Rng64::seed(4);
     let mut out = Matrix::zeros(0, 0);
 
-    // 100 is not a multiple of the lane width (stride pads 100 → 104) nor
-    // of the 64-wide tiles, so this row covers the ragged-edge code paths.
+    // 100 is not a multiple of the lane width: the stride pads 100 → 104,
+    // three 32-float panels and an 8-float tail of which 4 are logical.
     let a = Matrix::random(100, 100, Init::ScaledNormal { std_dev: 1.0 }, &mut rng);
     let b = Matrix::random(100, 100, Init::ScaledNormal { std_dev: 1.0 }, &mut rng);
     h.bench("matmul_blocked/ragged/100", || {
@@ -39,7 +42,8 @@ fn bench_matmul_blocked(h: &mut Harness) {
         black_box(out.get(0, 0))
     });
 
-    // Batch-shaped product (tall-skinny times small), the head-training shape.
+    // Batch-shaped product (tall-skinny times small), the head-training
+    // shape: one 32-float panel.
     let x = Matrix::random(512, 64, Init::ScaledNormal { std_dev: 1.0 }, &mut rng);
     let w = Matrix::random(64, 32, Init::ScaledNormal { std_dev: 1.0 }, &mut rng);
     h.bench("matmul_blocked/tall/512x64x32", || {

@@ -748,6 +748,90 @@ fn a_dataset_with_a_label_out_of_range_is_rejected_by_every_command_without_a_pa
 }
 
 #[test]
+fn a_pool_with_a_non_finite_or_unchained_parameter_is_rejected_without_a_panic() {
+    let (data, pool) = fixture();
+    let out = tmp("bad_pool_out.json");
+    std::fs::remove_file(&out).ok();
+    let text = std::fs::read_to_string(&pool).expect("fixture pool");
+    // The fixture's first model is ResNet-18: projection 16 wide, then
+    // layers 16→64→32→8. The writer cannot spell infinity, so the string
+    // "1e999" is written as the bare number.
+    type Edit = fn(&mut muffin_json::Json);
+    let edits: [(&str, &str, Edit); 4] = [
+        ("inf_weight", "mlp.layers[0].weight[0][1] = inf", |model| {
+            let weight = json_field(json_layer(model, 0), "weight");
+            json_items(json_field(weight, "data"))[1] = muffin_json::Json::Str("1e999".into());
+        }),
+        ("null_projection", "projection[0][0] = NaN", |model| {
+            let projection = json_field(model, "projection");
+            json_items(json_field(projection, "data"))[0] = muffin_json::Json::Null;
+        }),
+        (
+            "short_weight",
+            "mlp.layers[1].weight has 63 rows",
+            |model| {
+                let weight = json_field(json_layer(model, 1), "weight");
+                *json_field(weight, "rows") = muffin_json::Json::Int(63);
+                json_items(json_field(weight, "data")).truncate(63 * 32);
+            },
+        ),
+        ("short_bias", "mlp.layers[0].bias has 63 values", |model| {
+            json_items(json_field(json_layer(model, 0), "bias")).pop();
+        }),
+    ];
+    for (name, field, edit) in edits {
+        let bad = tmp(&format!("{name}_pool.json"));
+        let mut json = muffin_json::parse(&text).expect("fixture pool parses");
+        edit(&mut json_items(json_field(&mut json, "models"))[0]);
+        let written = muffin_json::to_string(&json).replace("\"1e999\"", "1e999");
+        std::fs::write(&bad, written).expect("write broken pool");
+        for command in [
+            format!("evaluate --data {data} --pool {bad}"),
+            format!("search --data {data} --pool {bad} --attrs age,site --episodes 1 --out {out}"),
+        ] {
+            let result = muffin(&command.split_whitespace().collect::<Vec<_>>());
+            let stderr = String::from_utf8_lossy(&result.stderr);
+            assert_eq!(result.status.code(), Some(1), "{command}: {stderr}");
+            assert!(
+                stderr.contains(&bad)
+                    && stderr.contains("models[0] (ResNet-18)")
+                    && stderr.contains(field),
+                "{command}: the error must name the file, the model and {field}: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{command}: {stderr}");
+            assert!(
+                !std::path::Path::new(&out).exists(),
+                "{command} wrote its output"
+            );
+        }
+        std::fs::remove_file(bad).ok();
+    }
+}
+
+/// The entry `key` of a JSON object.
+fn json_field<'a>(json: &'a mut muffin_json::Json, key: &str) -> &'a mut muffin_json::Json {
+    match json {
+        muffin_json::Json::Obj(entries) => {
+            &mut entries.iter_mut().find(|(k, _)| k == key).expect(key).1
+        }
+        other => panic!("expected an object, found {}", other.kind()),
+    }
+}
+
+/// The elements of a JSON array.
+fn json_items(json: &mut muffin_json::Json) -> &mut Vec<muffin_json::Json> {
+    match json {
+        muffin_json::Json::Arr(items) => items,
+        other => panic!("expected an array, found {}", other.kind()),
+    }
+}
+
+/// Layer `l` of a pool model's JSON.
+fn json_layer(model: &mut muffin_json::Json, l: usize) -> &mut muffin_json::Json {
+    &mut json_items(json_field(json_field(model, "mlp"), "layers"))[l]
+}
+
+#[test]
 fn serve_answers_stdin_requests_and_shuts_down_cleanly_on_eof() {
     use std::io::Write as _;
     // The demo deployment is IsicLike-small: 24 features per request.

@@ -105,6 +105,67 @@ impl FrozenModel {
     pub fn evaluate(&self, dataset: &Dataset) -> ModelEvaluation {
         ModelEvaluation::of(&self.predict(dataset.features()), dataset, self.name.clone())
     }
+
+    /// Checks what a decoded model needs before it can predict: the shapes
+    /// chain from the projection through every layer as the network's spec
+    /// declares, each bias is as long as its layer, and every projection,
+    /// weight and bias value is finite. Training guarantees all of it, so
+    /// only a file can break it. The error names the field with its index,
+    /// e.g. `mlp.layers[0].weight[3][5] = inf`.
+    pub(crate) fn check_parameters(&self) -> Result<(), String> {
+        finite_matrix("projection", &self.projection)?;
+        let mut input = ("projection".to_string(), self.projection.cols());
+        for (l, layer) in self.mlp.layers().iter().enumerate() {
+            let (weight, bias) = (layer.weight(), layer.bias());
+            let field = format!("mlp.layers[{l}]");
+            if weight.rows() != input.1 {
+                return Err(format!(
+                    "{field}.weight has {} rows, but {} has {} columns",
+                    weight.rows(),
+                    input.0,
+                    input.1
+                ));
+            }
+            if bias.len() != weight.cols() {
+                return Err(format!(
+                    "{field}.bias has {} values, but {field}.weight has {} columns",
+                    bias.len(),
+                    weight.cols()
+                ));
+            }
+            finite_matrix(&format!("{field}.weight"), weight)?;
+            if let Some(c) = bias.iter().position(|v| !v.is_finite()) {
+                return Err(format!(
+                    "non-finite parameter: {field}.bias[{c}] = {}",
+                    bias[c]
+                ));
+            }
+            input = (format!("{field}.weight"), weight.cols());
+        }
+        let declared = self.mlp.spec().layer_dims();
+        let chained: Vec<usize> = std::iter::once(self.projection.cols())
+            .chain(self.mlp.layers().iter().map(|layer| layer.out_dim()))
+            .collect();
+        if declared != chained {
+            return Err(format!(
+                "mlp.spec declares layer widths {declared:?}, but the layers chain {chained:?}"
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// Fails on the first non-finite element of `m`, naming it `field[r][c]`.
+fn finite_matrix(field: &str, m: &Matrix) -> Result<(), String> {
+    for (r, row) in m.iter_rows().enumerate() {
+        if let Some(c) = row.iter().position(|v| !v.is_finite()) {
+            return Err(format!(
+                "non-finite parameter: {field}[{r}][{c}] = {}",
+                row[c]
+            ));
+        }
+    }
+    Ok(())
 }
 
 impl fmt::Display for FrozenModel {

@@ -170,6 +170,11 @@ impl Mlp {
         &self.spec
     }
 
+    /// The layers, input side first.
+    pub fn layers(&self) -> &[Linear] {
+        &self.layers
+    }
+
     /// Number of trainable parameters.
     pub fn param_count(&self) -> usize {
         self.layers.iter().map(Linear::param_count).sum()

@@ -25,7 +25,6 @@
 
 mod error;
 mod init;
-pub mod instrument;
 mod matrix;
 mod ops;
 

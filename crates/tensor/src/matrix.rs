@@ -23,15 +23,14 @@ fn padded_stride(cols: usize) -> usize {
     (cols + LANE_WIDTH - 1) / LANE_WIDTH * LANE_WIDTH
 }
 
-/// Row-block size for the matmul kernels (outer-loop tiling only).
-const I_BLOCK: usize = 64;
-/// Shared-dimension block size for the matmul kernels.
-const K_BLOCK: usize = 64;
-/// Column-block size for `matmul_nt_into`'s dot-product tiling.
-const J_BLOCK: usize = 64;
-/// Widest padded output row (four lanes) the matmul kernels accumulate in
-/// registers instead of running the blocked loops; see [`small_width_row`].
-const SMALL_WIDTH: usize = 4 * LANE_WIDTH;
+/// Widest register panel (four lanes): the matmul kernels hold up to this
+/// many floats of one output row in registers across the shared dimension;
+/// see [`panel_row`]. Also the step count of one shared-dimension chunk.
+const PANEL: usize = 4 * LANE_WIDTH;
+
+/// One register-panel kernel: writes output columns `j0..j0 + W` of a
+/// product of `a` and `b` into `out`, where `W` is fixed by the instance.
+type PanelKernel = fn(&Matrix, &Matrix, &mut Matrix, usize);
 
 /// A dense, row-major `f32` matrix over an aligned, padded backing store.
 ///
@@ -363,23 +362,14 @@ impl Matrix {
         }
     }
 
-    /// Finiteness pre-scan of the logical elements, run **once per operand
-    /// per kernel call** (counted by [`crate::instrument::finiteness_scans`]).
-    fn all_finite_logical(&self) -> bool {
-        crate::instrument::record_finiteness_scan();
-        self.iter_rows()
-            .all(|row| row.iter().all(|x| x.is_finite()))
-    }
-
     /// Matrix product `self · other`.
     ///
-    /// The kernel is cache-blocked over the two outer loops (64×64 row and
-    /// shared-dimension tiles) while the inner
-    /// accumulation runs over each output row in ascending `k` order — the
-    /// same per-element operation sequence as the naive `i-k-j` triple
-    /// loop, so results are byte-for-byte identical to it. Outputs at most
-    /// 32 floats wide (padded) keep each row in registers for the whole
-    /// shared dimension instead, with the same per-element sequence.
+    /// Each output row is computed in register panels of at most 32
+    /// floats: the accumulators start at `+0.0` and add `a·b` over the
+    /// whole shared dimension in ascending `k` order, then the row's
+    /// logical columns are stored once. That is the per-element operation
+    /// sequence of the naive `i-k-j` triple loop, so results are
+    /// byte-for-byte identical to it (NaN and `0·∞` included).
     ///
     /// # Panics
     ///
@@ -408,27 +398,25 @@ impl Matrix {
         if m == 0 || k == 0 || n == 0 {
             return;
         }
-        // Skipping `a == 0` terms of the inner product is only sound when
-        // `other` is all-finite: `0 · NaN` and `0 · ∞` are NaN and must
-        // propagate, exactly as they do in `matmul_nt`. The scan is hoisted
-        // out of the loops and runs exactly once per call (the instrument
-        // counter pins this); it touches logical elements only.
-        let skip_zeros = other.all_finite_logical();
-        match out.stride {
-            8 => matmul_small::<8>(self, other, out, skip_zeros),
-            16 => matmul_small::<16>(self, other, out, skip_zeros),
-            24 => matmul_small::<24>(self, other, out, skip_zeros),
-            32 => matmul_small::<32>(self, other, out, skip_zeros),
-            _ => matmul_blocked(self, other, out, skip_zeros),
-        }
+        for_each_panel(
+            self,
+            other,
+            out,
+            [
+                matmul_panel::<8>,
+                matmul_panel::<16>,
+                matmul_panel::<24>,
+                matmul_panel::<32>,
+            ],
+        );
     }
 
     /// Matrix product `selfᵀ · other` without materialising the transpose.
     ///
-    /// Cache-blocked like [`Matrix::matmul`] (shared-dimension and column
-    /// tiles on the two outer loops), with the same register path for
-    /// small outputs; per output element the shared dimension is
-    /// accumulated in ascending order, byte-identical to the naive loop.
+    /// Register panels as in [`Matrix::matmul`]: output row `i` folds
+    /// column `i` of `self` against the rows of `other`, 32 rows at a time,
+    /// from `+0.0` in ascending shared-dimension order, byte-identical to
+    /// the naive loop.
     ///
     /// # Panics
     ///
@@ -457,25 +445,25 @@ impl Matrix {
         if r_dim == 0 || c_dim == 0 || n == 0 {
             return;
         }
-        // Same hoisted pre-scan as `matmul_into`: one scan of `other` per
-        // call guards the zero-skip path against swallowing NaN/∞.
-        let skip_zeros = other.all_finite_logical();
-        match out.stride {
-            8 => matmul_tn_small::<8>(self, other, out, skip_zeros),
-            16 => matmul_tn_small::<16>(self, other, out, skip_zeros),
-            24 => matmul_tn_small::<24>(self, other, out, skip_zeros),
-            32 => matmul_tn_small::<32>(self, other, out, skip_zeros),
-            _ => matmul_tn_blocked(self, other, out, skip_zeros),
-        }
+        for_each_panel(
+            self,
+            other,
+            out,
+            [
+                matmul_tn_panel::<8>,
+                matmul_tn_panel::<16>,
+                matmul_tn_panel::<24>,
+                matmul_tn_panel::<32>,
+            ],
+        );
     }
 
     /// Matrix product `self · otherᵀ` without materialising the transpose.
     ///
-    /// Cache-blocked over row and column tiles, with the register path of
-    /// [`Matrix::matmul`] when the output and the shared dimension are both
-    /// at most 32 wide; each dot product folds the shared dimension
-    /// sequentially from zero, byte-identical to the naive
-    /// `iter().zip().map().sum()` formulation.
+    /// Register panels as in [`Matrix::matmul`], over a stack copy of
+    /// `other` transposed 32 shared-dimension steps at a time. Each dot
+    /// product folds the shared dimension sequentially from `-0.0`,
+    /// byte-identical to the naive `iter().zip().map().sum()` formulation.
     ///
     /// # Panics
     ///
@@ -504,14 +492,17 @@ impl Matrix {
         if m == 0 || k == 0 || p == 0 {
             return;
         }
-        // The small path holds the transposed right operand on the stack.
-        match (out.stride, k <= SMALL_WIDTH) {
-            (8, true) => matmul_nt_small::<8>(self, other, out),
-            (16, true) => matmul_nt_small::<16>(self, other, out),
-            (24, true) => matmul_nt_small::<24>(self, other, out),
-            (32, true) => matmul_nt_small::<32>(self, other, out),
-            _ => matmul_nt_blocked(self, other, out),
-        }
+        for_each_panel(
+            self,
+            other,
+            out,
+            [
+                matmul_nt_panel::<8>,
+                matmul_nt_panel::<16>,
+                matmul_nt_panel::<24>,
+                matmul_nt_panel::<32>,
+            ],
+        );
     }
 
     /// Returns the transpose.
@@ -809,171 +800,43 @@ impl Matrix {
     }
 }
 
-// Every matmul kernel below is `#[inline(never)]`: out of line, each one
-// starts on its own 64-byte boundary (see `.cargo/config.toml`), so its loop
-// layout does not depend on the dispatch in front of it. With the small
-// kernels inlined into `matmul_into`, the unchanged blocked loops ran
-// 10–15% slower on 64×64 and 128×128 products.
+// The matmul kernels below accumulate one output row at a time in register
+// panels: columns `j0..j0 + W` of the row, `W` at most [`PANEL`], held in
+// registers across the shared dimension. `matmul` folds it in one pass;
+// `matmul_tn` and `matmul_nt` fold it [`PANEL`] steps at a time, passing
+// the partial sums through the output row. The kernels run panel-outer and
+// row-inner, so the right operand's panel stays in L1 while every row
+// folds against it. A panel spans padded lanes, so lanes past the output's
+// logical width may pick up the right operand's padding; they are stored
+// as `+0.0`, so output padding stays zero.
+//
+// Every kernel is `#[inline(never)]`: out of line, each one starts on its
+// own 64-byte boundary (see `.cargo/config.toml`), so its loop layout does
+// not depend on the dispatch in front of it.
 
-/// The cache-blocked [`Matrix::matmul_into`] for outputs wider than
-/// [`SMALL_WIDTH`].
-#[inline(never)]
-fn matmul_blocked(a: &Matrix, b: &Matrix, out: &mut Matrix, skip_zeros: bool) {
-    let (m, k, n) = (a.rows, a.cols, b.cols);
-    let (sa, sb, so) = (a.stride, b.stride, out.stride);
-    let (abuf, bbuf) = (a.buf(), b.buf());
-    let obuf = out.buf_mut();
-    for ii in (0..m).step_by(I_BLOCK) {
-        let i_end = (ii + I_BLOCK).min(m);
-        for kk in (0..k).step_by(K_BLOCK) {
-            let k_end = (kk + K_BLOCK).min(k);
-            for i in ii..i_end {
-                let a_row = &abuf[i * sa + kk..i * sa + k_end];
-                let out_row = &mut obuf[i * so..i * so + n];
-                let mut dk = 0;
-                while dk + 4 <= a_row.len() {
-                    let kb = kk + dk;
-                    let a4 = [a_row[dk], a_row[dk + 1], a_row[dk + 2], a_row[dk + 3]];
-                    let b4 = [
-                        &bbuf[kb * sb..kb * sb + n],
-                        &bbuf[(kb + 1) * sb..(kb + 1) * sb + n],
-                        &bbuf[(kb + 2) * sb..(kb + 2) * sb + n],
-                        &bbuf[(kb + 3) * sb..(kb + 3) * sb + n],
-                    ];
-                    rank4_update(out_row, a4, b4, skip_zeros);
-                    dk += 4;
-                }
-                while dk < a_row.len() {
-                    let a = a_row[dk];
-                    let kb = kk + dk;
-                    if !(a == 0.0 && skip_zeros) {
-                        rank1_update(out_row, a, &bbuf[kb * sb..kb * sb + n]);
-                    }
-                    dk += 1;
-                }
-            }
-        }
+/// Runs the kernel for each register panel of `out`'s padded rows: full
+/// [`PANEL`]-wide panels, then a tail of 8, 16 or 24 floats. `kernels[w]`
+/// is the instance for panels `8 * (w + 1)` floats wide.
+fn for_each_panel(a: &Matrix, b: &Matrix, out: &mut Matrix, kernels: [PanelKernel; 4]) {
+    for j0 in (0..out.stride).step_by(PANEL) {
+        let width = (out.stride - j0).min(PANEL);
+        kernels[width / LANE_WIDTH - 1](a, b, out, j0);
     }
 }
 
-/// The cache-blocked [`Matrix::matmul_tn_into`] for outputs wider than
-/// [`SMALL_WIDTH`].
-#[inline(never)]
-fn matmul_tn_blocked(a: &Matrix, b: &Matrix, out: &mut Matrix, skip_zeros: bool) {
-    let (r_dim, c_dim, n) = (a.rows, a.cols, b.cols);
-    let (sa, sb, so) = (a.stride, b.stride, out.stride);
-    let (abuf, bbuf) = (a.buf(), b.buf());
-    let obuf = out.buf_mut();
-    for rr in (0..r_dim).step_by(K_BLOCK) {
-        let r_end = (rr + K_BLOCK).min(r_dim);
-        for ii in (0..c_dim).step_by(I_BLOCK) {
-            let i_end = (ii + I_BLOCK).min(c_dim);
-            for i in ii..i_end {
-                let out_row = &mut obuf[i * so..i * so + n];
-                let mut r = rr;
-                while r + 4 <= r_end {
-                    let a4 = [
-                        abuf[r * sa + i],
-                        abuf[(r + 1) * sa + i],
-                        abuf[(r + 2) * sa + i],
-                        abuf[(r + 3) * sa + i],
-                    ];
-                    let b4 = [
-                        &bbuf[r * sb..r * sb + n],
-                        &bbuf[(r + 1) * sb..(r + 1) * sb + n],
-                        &bbuf[(r + 2) * sb..(r + 2) * sb + n],
-                        &bbuf[(r + 3) * sb..(r + 3) * sb + n],
-                    ];
-                    rank4_update(out_row, a4, b4, skip_zeros);
-                    r += 4;
-                }
-                while r < r_end {
-                    let a = abuf[r * sa + i];
-                    if !(a == 0.0 && skip_zeros) {
-                        rank1_update(out_row, a, &bbuf[r * sb..r * sb + n]);
-                    }
-                    r += 1;
-                }
-            }
-        }
-    }
-}
-
-/// The cache-blocked [`Matrix::matmul_nt_into`] for outputs wider than
-/// [`SMALL_WIDTH`] or shared dimensions longer than it.
-#[inline(never)]
-fn matmul_nt_blocked(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    let (m, k, p) = (a.rows, a.cols, b.rows);
-    let (sa, sb, so) = (a.stride, b.stride, out.stride);
-    let (abuf, bbuf) = (a.buf(), b.buf());
-    let obuf = out.buf_mut();
-    for ii in (0..m).step_by(I_BLOCK) {
-        let i_end = (ii + I_BLOCK).min(m);
-        for jj in (0..p).step_by(J_BLOCK) {
-            let j_end = (jj + J_BLOCK).min(p);
-            for i in ii..i_end {
-                let a_row = &abuf[i * sa..i * sa + k];
-                let out_row = &mut obuf[i * so..i * so + p];
-                let mut j = jj;
-                // Four independent dot products share each `a` load.
-                // Accumulators start at -0.0 — the IEEE additive
-                // identity `Iterator::sum` folds from (`x + -0.0 == x`
-                // bitwise for every x, which +0.0 is not: `-0.0 + 0.0`
-                // flips to +0.0) — so each dot is bitwise `.sum()`.
-                while j + 4 <= j_end {
-                    let b0 = &bbuf[j * sb..j * sb + k];
-                    let b1 = &bbuf[(j + 1) * sb..(j + 1) * sb + k];
-                    let b2 = &bbuf[(j + 2) * sb..(j + 2) * sb + k];
-                    let b3 = &bbuf[(j + 3) * sb..(j + 3) * sb + k];
-                    let (mut d0, mut d1, mut d2, mut d3) = (-0.0f32, -0.0f32, -0.0f32, -0.0f32);
-                    for (&a, (((&v0, &v1), &v2), &v3)) in a_row
-                        .iter()
-                        .zip(b0.iter().zip(b1.iter()).zip(b2.iter()).zip(b3.iter()))
-                    {
-                        d0 += a * v0;
-                        d1 += a * v1;
-                        d2 += a * v2;
-                        d3 += a * v3;
-                    }
-                    out_row[j] = d0;
-                    out_row[j + 1] = d1;
-                    out_row[j + 2] = d2;
-                    out_row[j + 3] = d3;
-                    j += 4;
-                }
-                while j < j_end {
-                    let b_row = &bbuf[j * sb..j * sb + k];
-                    let mut dot = -0.0f32;
-                    for (&a, &b) in a_row.iter().zip(b_row.iter()) {
-                        dot += a * b;
-                    }
-                    out_row[j] = dot;
-                    j += 1;
-                }
-            }
-        }
-    }
-}
-
-/// One output row of the small-width path: `W` accumulators seeded with
-/// `init`, then `acc[j] += a_t * rows[t][j]` for each step `t` in ascending
-/// order, skipping `a_t == 0.0` when `skip_zeros` is set. Per output element
-/// that is the operation sequence of the blocked kernels, with the row held
-/// in registers across the whole shared dimension and stored once. Lanes
-/// past the output's logical width may pick up the right operand's padding;
-/// callers store only the logical prefix.
+/// One output row's panel: `acc[j] += a_t * rows[t][j]` for each step `t`
+/// in ascending order, with no zero skip. Seeded with `+0.0` (`matmul`,
+/// `matmul_tn`), an accumulator is never `-0.0` (an IEEE sum is `-0.0`
+/// only when both addends are), so adding a `±0` term leaves it unchanged:
+/// skipping `a_t == 0` against a finite right operand, as the naive loop
+/// once did, gives the same floats.
 #[inline(always)]
-fn small_width_row<const W: usize>(
-    init: f32,
+fn panel_row<'a, const W: usize>(
+    mut acc: [f32; W],
     coefs: impl Iterator<Item = f32>,
-    rows: &[[f32; W]],
-    skip_zeros: bool,
+    rows: impl Iterator<Item = &'a [f32; W]>,
 ) -> [f32; W] {
-    let mut acc = [init; W];
     for (a, row) in coefs.zip(rows) {
-        if a == 0.0 && skip_zeros {
-            continue;
-        }
         for (o, &b) in acc.iter_mut().zip(row) {
             *o += a * b;
         }
@@ -981,92 +844,101 @@ fn small_width_row<const W: usize>(
     acc
 }
 
-/// [`Matrix::matmul_into`] for an output whose padded width `W` is at most
-/// [`SMALL_WIDTH`]: `+0.0` seeds and the caller's zero-skip guard, as in
-/// the blocked kernel. `b`'s rows share the output's stride `W`.
-#[inline(never)]
-fn matmul_small<const W: usize>(a: &Matrix, b: &Matrix, out: &mut Matrix, skip_zeros: bool) {
-    let (k, n) = (a.cols, b.cols);
-    let (b_rows, _) = b.buf().as_chunks::<W>();
-    let (out_rows, _) = out.buf_mut().as_chunks_mut::<W>();
-    for (a_row, out_row) in a.iter_rows().zip(out_rows) {
-        let acc = small_width_row(0.0, a_row.iter().copied(), &b_rows[..k], skip_zeros);
-        out_row[..n].copy_from_slice(&acc[..n]);
-    }
+/// Columns `j0..j0 + W` of every row of a padded store `rows`.
+#[inline(always)]
+fn panel_of<const W: usize>(
+    rows: &[f32],
+    stride: usize,
+    j0: usize,
+) -> impl Iterator<Item = &[f32; W]> {
+    rows.chunks_exact(stride).map(move |row| panel_at(row, j0))
 }
 
-/// [`Matrix::matmul_tn_into`] for an output whose padded width `W` is at
-/// most [`SMALL_WIDTH`]: output row `i` folds column `i` of `a` against the
-/// rows of `b`, which share the output's stride `W`.
-#[inline(never)]
-fn matmul_tn_small<const W: usize>(a: &Matrix, b: &Matrix, out: &mut Matrix, skip_zeros: bool) {
-    let (sa, n) = (a.stride, b.cols);
-    let (b_rows, _) = b.buf().as_chunks::<W>();
-    let (out_rows, _) = out.buf_mut().as_chunks_mut::<W>();
-    for (i, out_row) in out_rows.iter_mut().enumerate() {
-        let column = a.buf().chunks_exact(sa).map(|row| row[i]);
-        let acc = small_width_row(0.0, column, b_rows, skip_zeros);
-        out_row[..n].copy_from_slice(&acc[..n]);
-    }
+/// Columns `j0..j0 + W` of one padded row.
+#[inline(always)]
+fn panel_at<const W: usize>(row: &[f32], j0: usize) -> &[f32; W] {
+    row[j0..]
+        .first_chunk()
+        .expect("panel within the padded row")
 }
 
-/// [`Matrix::matmul_nt_into`] for an output whose padded width `W` is at
-/// most [`SMALL_WIDTH`] and a shared dimension of at most [`SMALL_WIDTH`]:
-/// `b` is copied, transposed, into a stack buffer, and each dot product
-/// folds from `-0.0` with no zero skip, bitwise the blocked kernel's
-/// `Iterator::sum`-style fold.
-#[inline(never)]
-fn matmul_nt_small<const W: usize>(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    let (k, p) = (a.cols, b.rows);
-    let mut bt = [[0.0f32; W]; SMALL_WIDTH];
-    for (j, b_row) in b.iter_rows().enumerate() {
-        for (t, &v) in b_row.iter().enumerate() {
-            bt[t][j] = v;
+/// Stores a panel into output row `out_row`: its logical columns, and
+/// `+0.0` in the padding lanes past them, so output padding stays zero. A
+/// whole-panel store needs no copy whose length depends on the row.
+#[inline(always)]
+fn store_panel<const W: usize>(out_row: &mut [f32], j0: usize, cols: usize, mut acc: [f32; W]) {
+    for (j, x) in acc.iter_mut().enumerate() {
+        if j0 + j >= cols {
+            *x = 0.0;
         }
     }
-    let (out_rows, _) = out.buf_mut().as_chunks_mut::<W>();
-    for (a_row, out_row) in a.iter_rows().zip(out_rows) {
-        let acc = small_width_row(-0.0, a_row.iter().copied(), &bt[..k], false);
-        out_row[..p].copy_from_slice(&acc[..p]);
+    *out_row[j0..]
+        .first_chunk_mut()
+        .expect("panel within the padded row") = acc;
+}
+
+/// [`Matrix::matmul_into`], one panel: each row of `a` folds against the
+/// same `k × W` panel of `b`, whose rows share the output's stride.
+#[inline(never)]
+fn matmul_panel<const W: usize>(a: &Matrix, b: &Matrix, out: &mut Matrix, j0: usize) {
+    let (cols, so) = (out.cols, out.stride);
+    for (a_row, out_row) in a.iter_rows().zip(out.buf_mut().chunks_exact_mut(so)) {
+        let acc = panel_row(
+            [0.0; W],
+            a_row.iter().copied(),
+            panel_of(b.buf(), b.stride, j0),
+        );
+        store_panel(out_row, j0, cols, acc);
     }
 }
 
-/// `out_row[j] += a * b_row[j]` over one logical row.
-#[inline]
-fn rank1_update(out_row: &mut [f32], a: f32, b_row: &[f32]) {
-    for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-        *o += a * b;
+/// [`Matrix::matmul_tn_into`], one panel: output row `i` folds column `i`
+/// of `a` against the matching panel of `b`, [`PANEL`] rows of both at a
+/// time. Between chunks the partial sums pass through the output row, which
+/// `resize_zeroed` seeded with `+0.0`.
+#[inline(never)]
+fn matmul_tn_panel<const W: usize>(a: &Matrix, b: &Matrix, out: &mut Matrix, j0: usize) {
+    let (sa, sb, cols, so) = (a.stride, b.stride, out.cols, out.stride);
+    for r0 in (0..a.rows).step_by(PANEL) {
+        let r1 = (r0 + PANEL).min(a.rows);
+        let a_chunk = &a.buf()[r0 * sa..r1 * sa];
+        let b_chunk = &b.buf()[r0 * sb..r1 * sb];
+        for (i, out_row) in out.buf_mut().chunks_exact_mut(so).enumerate() {
+            let column = a_chunk.chunks_exact(sa).map(|row| row[i]);
+            let seed: [f32; W] = *panel_at(out_row, j0);
+            let acc = panel_row(seed, column, panel_of(b_chunk, sb, j0));
+            store_panel(out_row, j0, cols, acc);
+        }
     }
 }
 
-/// Applies four consecutive shared-dimension steps to `out_row`, each as
-/// `o += a[t] * b[t][j]` in ascending `t` — the exact operation sequence of
-/// four [`rank1_update`] passes, with 4× fewer loads/stores of `out_row`.
-///
-/// When `skip_zeros` is set and any coefficient is exactly zero, the group
-/// falls back to per-step updates so zero terms are skipped under the same
-/// condition the naive kernel used (preserving `-0.0` accumulator bits).
-#[inline]
-fn rank4_update(out_row: &mut [f32], a: [f32; 4], b: [&[f32]; 4], skip_zeros: bool) {
-    if skip_zeros && (a[0] == 0.0 || a[1] == 0.0 || a[2] == 0.0 || a[3] == 0.0) {
-        for t in 0..4 {
-            if a[t] != 0.0 {
-                rank1_update(out_row, a[t], b[t]);
+/// [`Matrix::matmul_nt_into`], one panel: rows `j0..j0 + W` of `b` are
+/// copied, transposed, into a stack buffer [`PANEL`] shared-dimension steps
+/// at a time, and every row of `a` folds against each chunk. Accumulators
+/// start at `-0.0`, the additive identity `Iterator::sum` folds from, and
+/// never skip; between chunks the partial sums pass through the output row
+/// (an `f32` stored and reloaded is unchanged), so each dot product is
+/// bitwise the sequential `.sum()`.
+#[inline(never)]
+fn matmul_nt_panel<const W: usize>(a: &Matrix, b: &Matrix, out: &mut Matrix, j0: usize) {
+    let (k, cols, so) = (a.cols, out.cols, out.stride);
+    let mut bt = [[0.0f32; W]; PANEL];
+    for t0 in (0..k).step_by(PANEL) {
+        let steps = (k - t0).min(PANEL);
+        for (j, b_row) in b.iter_rows().skip(j0).take(W).enumerate() {
+            for (t, &v) in b_row[t0..t0 + steps].iter().enumerate() {
+                bt[t][j] = v;
             }
         }
-        return;
-    }
-    let [b0, b1, b2, b3] = b;
-    for (o, (((&v0, &v1), &v2), &v3)) in out_row
-        .iter_mut()
-        .zip(b0.iter().zip(b1.iter()).zip(b2.iter()).zip(b3.iter()))
-    {
-        let mut acc = *o;
-        acc += a[0] * v0;
-        acc += a[1] * v1;
-        acc += a[2] * v2;
-        acc += a[3] * v3;
-        *o = acc;
+        for (a_row, out_row) in a.iter_rows().zip(out.buf_mut().chunks_exact_mut(so)) {
+            let seed = match t0 {
+                0 => [-0.0; W],
+                _ => *panel_at(out_row, j0),
+            };
+            let coefs = a_row[t0..t0 + steps].iter().copied();
+            let acc = panel_row(seed, coefs, bt[..steps].iter());
+            store_panel(out_row, j0, cols, acc);
+        }
     }
 }
 
@@ -1256,8 +1128,8 @@ mod tests {
 
     #[test]
     fn matmul_zero_skip_still_exact_for_finite_inputs() {
-        // The fast path must not change results where it applies: a sparse
-        // operand against a finite matrix multiplies exactly.
+        // The zero terms the naive kernel skipped against a finite operand
+        // are added as `±0` and must not change the exact product.
         let a = m(2, 3, &[0.0, 2.0, 0.0, 1.0, 0.0, 3.0]);
         let b = m(3, 2, &[1., 2., 3., 4., 5., 6.]);
         assert_eq!(a.matmul(&b), a.matmul(&b.transpose().transpose()));

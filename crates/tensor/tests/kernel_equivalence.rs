@@ -1,28 +1,39 @@
 //! Bit-for-bit equivalence of the matmul kernels against a naive
 //! reference oracle.
 //!
-//! The kernels (`matmul_into`, `matmul_tn_into`, `matmul_nt_into`) run a
-//! register-blocked path for outputs at most 32 floats wide (padded) and
-//! cache-blocked loops otherwise. Both promise that they changed only the
-//! *order loops visit rows and tiles*, never the per-output-element
-//! accumulation sequence — so every float they produce must equal the
-//! naive triple loop's output down to the last bit (NaN positions
-//! included; payload bits are compiler-unspecified, see
-//! `prop_assert_bits_eq`). The oracle below is the pre-blocking kernel kept
-//! verbatim (including its zero-skip fast path and lazy finiteness guard);
-//! the property suites drive both through random shapes, tile-boundary and
-//! width-switch shapes, degenerate 1×N/N×1 shapes, NaN/∞ operands and
-//! all-zero rows.
+//! The kernels (`matmul_into`, `matmul_tn_into`, `matmul_nt_into`) hold
+//! each output row in register panels of at most 32 floats across the
+//! whole shared dimension; `matmul_nt` folds its shared dimension in
+//! chunks of 32 steps, passing partial sums through the output row. They
+//! change only the *order rows and panels are visited*, never the
+//! per-output-element accumulation sequence — so every float they produce
+//! must equal the naive triple loop's output down to the last bit (NaN
+//! positions included; payload bits are compiler-unspecified, see
+//! `prop_assert_bits_eq`).
+//!
+//! The oracle below is the original naive kernel kept verbatim, including
+//! its zero-skip fast path and lazy finiteness guard, while the kernels
+//! never skip. They must still agree: `matmul` and `matmul_tn` seed every
+//! accumulator with `+0.0`, which no IEEE sum turns into `-0.0` (a sum is
+//! `-0.0` only when both addends are), so a skipped `0·b` term — `±0`
+//! whenever the right operand is all-finite, the only case the oracle
+//! skips — is an identity add. With a non-finite right operand the oracle
+//! skips nothing and `0·∞` propagates as NaN in both.
+//!
+//! The property suites drive both through random shapes, panel-boundary
+//! shapes (several panels plus 8-, 16- and 24-float tails), degenerate
+//! 1×N/N×1 shapes, NaN/∞ operands and all-zero rows, with shared
+//! dimensions past one and two `matmul_nt` chunks.
 
 use muffin_check::{check, prop_assert, prop_assert_eq, Config, Gen};
-use muffin_tensor::{instrument, Matrix};
+use muffin_tensor::Matrix;
 
 fn config() -> Config {
     Config::cases(96).with_seed(0x7E45_0006)
 }
 
-/// The pre-blocking `matmul` kernel: naive i-k-j with the lazy zero-skip
-/// guard. Kept as the oracle the blocked kernel must match bitwise.
+/// The original `matmul` kernel: naive i-k-j with the lazy zero-skip
+/// guard. Kept as the oracle the panel kernel must match bitwise.
 fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.rows());
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
@@ -46,7 +57,7 @@ fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-/// The pre-blocking `matmul_tn` kernel (Aᵀ·B without materialising Aᵀ).
+/// The original `matmul_tn` kernel (Aᵀ·B without materialising Aᵀ).
 fn naive_matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.rows(), b.rows());
     let (r_dim, c_dim, n) = (a.rows(), a.cols(), b.cols());
@@ -70,7 +81,7 @@ fn naive_matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-/// The pre-blocking `matmul_nt` kernel: one sequential-from-zero dot
+/// The original `matmul_nt` kernel: one sequential-from-zero dot
 /// product per output element, folded exactly like `Iterator::sum`.
 fn naive_matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.cols());
@@ -111,7 +122,7 @@ fn prop_assert_bits_eq(actual: &Matrix, expected: &Matrix, label: &str) -> Resul
     Ok(())
 }
 
-/// Runs all three blocked kernels against their oracles on one operand
+/// Runs all three kernels against their oracles on one operand
 /// pair shaped for `matmul` (a: m×k, b: k×n).
 fn assert_all_kernels_match(a: &Matrix, b: &Matrix) -> Result<(), String> {
     if a.cols() != b.rows() {
@@ -146,11 +157,14 @@ fn blocked_kernels_match_oracle_on_random_shapes() {
 
 #[test]
 fn blocked_kernels_match_oracle_across_tile_boundaries() {
-    // The kernels tile at 64; shapes straddling 64 (and the lane width 8)
-    // exercise full tiles, ragged tail tiles, and their combinations.
-    // 24–40 straddle the 32-float small-width switch: padded widths of
-    // three and four lanes, and the first blocked widths past it.
-    let dims = [1usize, 7, 8, 9, 24, 25, 31, 32, 33, 40, 63, 64, 65, 70];
+    // Output widths straddling the lane width (8) and the 32-float panel
+    // give one-panel products of one to four lanes; 33–104 give several
+    // panels with tails of 8, 16 and 24 floats (padded 40, 48, 72, 104)
+    // or none (64, 96). As shared dimensions, 33–104 split `matmul_nt`
+    // into two to four chunks, ragged or whole.
+    let dims = [
+        1usize, 7, 8, 9, 24, 25, 31, 32, 33, 40, 48, 63, 64, 65, 70, 72, 96, 97, 104,
+    ];
     check(
         "blocked == naive at tile-boundary shapes",
         Config::cases(96).with_seed(0x7E45_0106),
@@ -167,15 +181,16 @@ fn blocked_kernels_match_oracle_across_tile_boundaries() {
 #[test]
 fn blocked_kernels_match_oracle_on_vector_shapes() {
     // 1×N, N×1 and 1×1 degenerate shapes: single-row, single-column and
-    // scalar products, which hit every kernel's shortest code paths.
+    // scalar products, which hit every kernel's shortest code paths. The
+    // 1-row products up to 104 wide are the serving and controller shapes.
     check(
         "blocked == naive on 1xN / Nx1 shapes",
         config(),
         |g: &mut Gen| {
-            let n = g.usize_in(1..=80);
+            let n = g.usize_in(1..=104);
             let shape = g.usize_in(0..=2);
             let (m, k, p) = match shape {
-                0 => (1, n, g.usize_in(1..=16)),
+                0 => (1, n, g.usize_in(1..=104)),
                 1 => (g.usize_in(1..=16), n, 1),
                 _ => (1, 1, 1),
             };
@@ -187,24 +202,29 @@ fn blocked_kernels_match_oracle_on_vector_shapes() {
 
 #[test]
 fn blocked_kernels_match_oracle_with_nonfinite_operands() {
-    // NaN/∞ in either operand: disables the zero-skip fast path (for `b`)
+    // NaN/∞ in either operand: disables the oracle's zero-skip (for `b`)
     // and checks non-finite values propagate through identical paths.
+    // `±0` coefficients against ∞ must give NaN in every panel and every
+    // `matmul_nt` chunk, so widths reach 104 and shared dimensions 72.
     check(
         "blocked == naive with NaN/∞ operands",
         config(),
         |g: &mut Gen| {
             let m = g.usize_in(1..=12);
-            let k = g.usize_in(1..=12);
-            let n = g.usize_in(1..=40);
+            let k = g.usize_in(1..=72);
+            let n = g.usize_in(1..=104);
             let mut a = g.matrix_exact(m, k, -5.0, 5.0);
             let mut b = g.matrix_exact(k, n, -5.0, 5.0);
             for x in a.iter_rows_mut().flatten() {
                 if g.bool(0.3) {
-                    *x = 0.0;
+                    *x = if g.bool(0.5) { 0.0 } else { -0.0 };
                 }
             }
+            // About one non-finite value per column, so that some output
+            // columns stay finite however long the shared dimension.
+            let rate = 1.0 / k as f32;
             for x in b.iter_rows_mut().flatten() {
-                if g.bool(0.1) {
+                if g.bool(rate) {
                     *x = if g.bool(0.5) { f32::NAN } else { f32::NEG_INFINITY };
                 }
             }
@@ -216,20 +236,27 @@ fn blocked_kernels_match_oracle_with_nonfinite_operands() {
 
 #[test]
 fn blocked_kernels_match_oracle_with_zero_rows() {
-    // All-zero rows (and heavily sparse operands) drive the zero-skip
-    // fast path through whole rank-4 groups and their scalar fallback.
+    // All-zero rows and scattered `±0` coefficients: every term the
+    // oracle skips is one the kernels add, in every panel and every
+    // `matmul_nt` chunk, and `matmul_nt` keeps the sign of a dot product
+    // whose every term is `-0.0`.
     check(
         "blocked == naive with all-zero rows",
         config(),
         |g: &mut Gen| {
             let m = g.usize_in(2..=16);
-            let k = g.usize_in(2..=16);
-            let n = g.usize_in(1..=40);
+            let k = g.usize_in(2..=72);
+            let n = g.usize_in(1..=104);
             let mut a = g.matrix_exact(m, k, -5.0, 5.0);
             let mut b = g.matrix_exact(k, n, -5.0, 5.0);
             for r in 0..m {
                 if g.bool(0.5) {
-                    a.row_mut(r).fill(0.0);
+                    a.row_mut(r).fill(if g.bool(0.5) { 0.0 } else { -0.0 });
+                }
+            }
+            for x in a.iter_rows_mut().flatten() {
+                if g.bool(0.1) {
+                    *x = -0.0;
                 }
             }
             // Signed zeros too: the skip condition treats -0.0 as zero.
@@ -242,72 +269,4 @@ fn blocked_kernels_match_oracle_with_zero_rows() {
         },
         |(a, b)| assert_all_kernels_match(a, b),
     );
-}
-
-// --- finiteness pre-scan accounting -------------------------------------
-//
-// The blocked kernels hoist the zero-skip finiteness guard into one eager
-// pre-scan of the right-hand operand per call. These tests pin the count
-// via the thread-local `instrument` counter: a regression back to lazy or
-// per-hit re-scanning would produce identical floats and only show up as
-// a slowdown, so it is asserted structurally here.
-
-fn scans_during(f: impl FnOnce()) -> u64 {
-    let before = instrument::finiteness_scans();
-    f();
-    instrument::finiteness_scans() - before
-}
-
-/// Output widths on each side of the 32-float small-width switch, so the
-/// accounting below covers the register-blocked and the blocked path.
-const SCAN_WIDTHS: [usize; 2] = [5, 40];
-
-#[test]
-fn matmul_scans_its_operand_exactly_once_per_call() {
-    for n in SCAN_WIDTHS {
-        let a = Matrix::filled(9, 7, 0.0); // all zeros: maximal skip traffic
-        let b = Matrix::filled(7, n, 2.0);
-        let mut out = Matrix::zeros(0, 0);
-        assert_eq!(scans_during(|| a.matmul_into(&b, &mut out)), 1);
-        assert_eq!(scans_during(|| drop(a.matmul(&b))), 1);
-        assert_eq!(
-            scans_during(|| {
-                for _ in 0..10 {
-                    a.matmul_into(&b, &mut out);
-                }
-            }),
-            10,
-            "one scan per call, not amortised across calls"
-        );
-    }
-}
-
-#[test]
-fn matmul_tn_scans_its_operand_exactly_once_per_call() {
-    for n in SCAN_WIDTHS {
-        let a = Matrix::filled(6, 9, 0.0);
-        let b = Matrix::filled(6, n, 1.5);
-        let mut out = Matrix::zeros(0, 0);
-        assert_eq!(scans_during(|| a.matmul_tn_into(&b, &mut out)), 1);
-    }
-}
-
-#[test]
-fn matmul_nt_never_scans() {
-    // The nt kernel has no zero-skip fast path, hence nothing to guard.
-    for p in SCAN_WIDTHS {
-        let a = Matrix::filled(5, 8, 1.0);
-        let b = Matrix::filled(p, 8, 1.0);
-        let mut out = Matrix::zeros(0, 0);
-        assert_eq!(scans_during(|| a.matmul_nt_into(&b, &mut out)), 0);
-    }
-}
-
-#[test]
-fn empty_products_do_not_scan() {
-    // Early-outs (any zero dimension) return before the pre-scan.
-    let a = Matrix::zeros(0, 4);
-    let b = Matrix::zeros(4, 3);
-    let mut out = Matrix::zeros(0, 0);
-    assert_eq!(scans_during(|| a.matmul_into(&b, &mut out)), 0);
 }

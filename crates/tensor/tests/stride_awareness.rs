@@ -160,27 +160,34 @@ fn nothing_reads_poisoned_padding() {
         Config::cases(48).with_seed(0x7E45_0306),
         |g: &mut Gen| {
             let a = gen_padded(g, 10);
-            // Output widths 25–40 straddle the kernels' 32-float small-width
-            // switch, whose register rows do read the right operand's padding.
+            // Output widths 25–103 span one to four 32-float register
+            // panels, whose last lanes do read the right operand's padding.
             let b_cols = if g.bool(0.5) {
                 g.usize_in(1..=10)
             } else {
-                g.usize_in(25..=40)
+                g.usize_in(25..=103)
+            };
+            let b_cols = if b_cols % LANE_WIDTH == 0 {
+                b_cols - 1
+            } else {
+                b_cols
             };
             let b = g.matrix_exact(a.cols(), b_cols, -6.0, 6.0);
             (a, b)
         },
         |(a, b)| {
-            let (mut pa, mut pb) = (a.clone(), b.clone());
-            poison_padding(&mut pa);
-            poison_padding(&mut pb);
+            let (at, bt) = (a.transpose(), b.transpose());
+            let (mut pa, mut pb, mut pat, mut pbt) = (a.clone(), b.clone(), at.clone(), bt.clone());
+            for m in [&mut pa, &mut pb, &mut pat, &mut pbt] {
+                poison_padding(m);
+            }
 
             // Every kernel output must be bitwise what the clean operands
             // give — a single padding-lane read would surface as NaN.
             let pairs = [
                 (a.matmul(b), pa.matmul(&pb)),
-                (a.transpose().matmul_tn(b), pa.transpose().matmul_tn(&pb)),
-                (a.matmul_nt(&b.transpose()), pa.matmul_nt(&pb.transpose())),
+                (at.matmul_tn(b), pat.matmul_tn(&pb)),
+                (a.matmul_nt(&bt), pa.matmul_nt(&pbt)),
                 (a.transpose(), pa.transpose()),
                 (a.softmax_rows(), pa.softmax_rows()),
                 (a + a, &pa + &pa),
@@ -205,10 +212,11 @@ fn nothing_reads_poisoned_padding() {
 
             // And kernels never *write* padding either: outputs produced
             // from poisoned inputs still carry pristine zero padding.
-            let prod = pa.matmul(&pb);
-            let (cols, stride) = (prod.cols(), prod.stride());
-            for chunk in prod.padded_data().chunks_exact(stride.max(1)) {
-                prop_assert!(chunk[cols..].iter().all(|&x| x == 0.0));
+            for prod in [pa.matmul(&pb), pat.matmul_tn(&pb), pa.matmul_nt(&pbt)] {
+                let (cols, stride) = (prod.cols(), prod.stride());
+                for chunk in prod.padded_data().chunks_exact(stride.max(1)) {
+                    prop_assert!(chunk[cols..].iter().all(|&x| x == 0.0));
+                }
             }
             Ok(())
         },

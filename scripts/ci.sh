@@ -13,6 +13,24 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
+echo "==> matmul kernel symbols start on 64-byte boundaries"
+# `.cargo/config.toml` aligns every function to 64 bytes because the 1-row
+# serving path ran 30-40% slower when `Matrix::matmul_into` started at 48
+# (mod 64). Every `muffin_tensor::matrix` matmul symbol in the release
+# binary must sit at an address = 0 (mod 64): its last hex digit is 0 and
+# the one before it 0, 4, 8 or c. Finding no such symbol fails too (say,
+# with `nm` missing or the kernels renamed).
+nm -C target/release/muffin | grep 'muffin_tensor::matrix::.*matmul' \
+    >target/ci-matmul-symbols.txt || true
+if [ ! -s target/ci-matmul-symbols.txt ]; then
+    echo "ERROR: nm -C target/release/muffin lists no muffin_tensor::matrix matmul symbol" >&2
+    exit 1
+fi
+if grep -v -E '^[0-9a-f]*[048c]0 ' target/ci-matmul-symbols.txt >&2; then
+    echo "ERROR: the matmul symbols above do not start on a 64-byte boundary" >&2
+    exit 1
+fi
+
 echo "==> cargo test --no-run --offline (no compiler warnings)"
 # A deletion must not leave dead imports or items behind: any warning in
 # the test build fails the gate. Cargo replays the warnings of units it
@@ -38,7 +56,7 @@ else
     echo "==> rustfmt not installed, skipping format check"
 fi
 
-echo "==> kernel equivalence + stride awareness (blocked matmul vs naive oracle)"
+echo "==> kernel equivalence + stride awareness (register-panel matmul vs naive oracle)"
 cargo test -q --offline -p muffin-tensor \
     --test kernel_equivalence --test stride_awareness
 

@@ -99,8 +99,8 @@ fn four_worker_kill_and_resume_reproduces_the_snapshot() {
     );
 }
 
-// The blocked matmul kernels promise byte-identical floats regardless of
-// how work is sliced, so the committed snapshot must be reproduced at
+// The matmul kernels promise byte-identical floats regardless of how work
+// is sliced, so the committed snapshot must be reproduced at
 // *every* worker count, not just the serial and 4-worker recipes above —
 // a kernel whose result depended on batch shape or scratch-buffer reuse
 // would diverge somewhere in this sweep.
@@ -110,7 +110,7 @@ fn blocked_kernels_reproduce_the_snapshot_at_every_worker_count() {
     for workers in [2usize, 3, 5, 8] {
         assert_matches_snapshot(
             &golden_outcome_json(&WorkerPool::new(workers)),
-            &format!("{workers}-worker (blocked-kernel sweep)"),
+            &format!("{workers}-worker (kernel sweep)"),
         );
     }
 }
