@@ -1,8 +1,8 @@
-//! Benches for the tensor substrate: the matmul and softmax kernels every
-//! training loop in the workspace sits on.
+//! Benches for the tensor substrate: the matmul, tanh and softmax kernels
+//! every training loop in the workspace sits on.
 
 use muffin_bench::timing::{black_box, Harness};
-use muffin_tensor::{Init, Matrix, Rng64};
+use muffin_tensor::{tanh_in_place, Init, Matrix, Rng64};
 
 fn bench_matmul(h: &mut Harness) {
     for &n in &[16usize, 64, 128] {
@@ -72,6 +72,24 @@ fn bench_matmul_transposed_variants(h: &mut Harness) {
     h.bench("matmul_nt/256x64_32x64", || black_box(a.matmul_nt(&bt)));
 }
 
+/// The tanh kernel over the hidden activations of one `[13,16,18]` tanh
+/// head step, 64 rows × 47 values, row by row as `Mlp` applies it: whole
+/// lane groups, then row tails of 5, 0 and 2 values in zero-filled
+/// groups. The kernel is branch-free, so its time does not depend on the
+/// values, which repeated application moves only slowly towards 0.
+fn bench_tanh(h: &mut Harness) {
+    let mut rng = Rng64::seed(5);
+    let mut blocks: Vec<Matrix> = [13, 16, 18]
+        .map(|width| Matrix::random(64, width, Init::ScaledNormal { std_dev: 2.0 }, &mut rng))
+        .into();
+    h.bench("tanh_in_place/64x47", || {
+        for block in &mut blocks {
+            block.iter_rows_mut().for_each(tanh_in_place);
+        }
+        black_box(blocks[0].get(0, 0))
+    });
+}
+
 fn bench_softmax(h: &mut Harness) {
     let mut rng = Rng64::seed(3);
     let logits = Matrix::random(512, 8, Init::ScaledNormal { std_dev: 2.0 }, &mut rng);
@@ -84,6 +102,7 @@ fn main() {
     bench_matmul(&mut h);
     bench_matmul_blocked(&mut h);
     bench_matmul_transposed_variants(&mut h);
+    bench_tanh(&mut h);
     bench_softmax(&mut h);
     h.finish();
 }

@@ -320,8 +320,9 @@ fn train_pool(args: &Args) -> Result<(), String> {
 }
 
 fn evaluate(args: &Args) -> Result<(), String> {
-    let (_, split) = load_split(args)?;
-    let pool = ModelPool::load_json(args.require("pool")?).map_err(|e| e.to_string())?;
+    let (dataset, split) = load_split(args)?;
+    let (pool, path) = load_pool(args)?;
+    check_pool_fits(&pool, &path, &dataset, args)?;
     let attr_names: Vec<String> = split
         .test
         .schema()
@@ -351,6 +352,19 @@ fn load_pool(args: &Args) -> Result<(ModelPool, String), String> {
     let path = args.require("pool")?.to_string();
     let pool = ModelPool::load_json(&path).map_err(|e| e.to_string())?;
     Ok((pool, path))
+}
+
+/// Fails unless every model of the pool loaded from `pool_path` reads the
+/// features and predicts the classes of `dataset`, loaded from `--data`.
+fn check_pool_fits(
+    pool: &ModelPool,
+    pool_path: &str,
+    dataset: &Dataset,
+    args: &Args,
+) -> Result<(), String> {
+    let data_path = args.require("data")?;
+    pool.check_data(dataset)
+        .map_err(|e| format!("pool {pool_path} does not fit data {data_path}: {e}"))
 }
 
 /// Resolves `--model NAME|ID` against a pool, returning the model's index
@@ -414,7 +428,8 @@ fn pool_add(args: &Args) -> Result<(), String> {
             ));
         }
     }
-    let (_, split) = load_split(args)?;
+    let (dataset, split) = load_split(args)?;
+    check_pool_fits(&pool, &path, &dataset, args)?;
     let epochs = args.get_u32("epochs", 60)?;
     let seed = args.get_u64("seed", 7)?;
     let config = BackboneConfig::default().with_epochs(epochs);
@@ -594,8 +609,9 @@ fn search(args: &Args) -> Result<(), String> {
     }
     .with_verbose(args.get_flag("verbose"));
 
-    let (_, split) = load_split(args)?;
-    let pool = ModelPool::load_json(args.require("pool")?).map_err(|e| e.to_string())?;
+    let (dataset, split) = load_split(args)?;
+    let (pool, pool_path) = load_pool(args)?;
+    check_pool_fits(&pool, &pool_path, &dataset, args)?;
 
     let config = SearchConfig::paper(&attrs)
         .with_episodes(episodes)

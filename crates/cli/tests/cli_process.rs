@@ -808,6 +808,80 @@ fn a_pool_with_a_non_finite_or_unchained_parameter_is_rejected_without_a_panic()
     }
 }
 
+#[test]
+fn a_pool_that_does_not_fit_the_data_is_rejected_before_any_work() {
+    let (data, fixture_pool) = fixture();
+    // The fixture pool was trained on 8-class `isic` data with 24 features.
+    let fitzpatrick = tmp("misfit_fitzpatrick.json");
+    let gen = muffin(&[
+        "generate",
+        "--dataset",
+        "fitzpatrick",
+        "--samples",
+        "300",
+        "--seed",
+        "5",
+        "--out",
+        &fitzpatrick,
+    ]);
+    assert!(
+        gen.status.success(),
+        "{}",
+        String::from_utf8_lossy(&gen.stderr)
+    );
+    // The fixture data with its last feature column dropped.
+    let narrow = tmp("misfit_narrow.json");
+    let mut json = muffin_json::parse(&std::fs::read_to_string(&data).expect("fixture data"))
+        .expect("fixture data parses");
+    let features = json_field(&mut json, "features");
+    *json_field(features, "cols") = muffin_json::Json::Int(23);
+    let values = std::mem::take(json_items(json_field(features, "data")));
+    *json_items(json_field(features, "data")) = values
+        .chunks(24)
+        .flat_map(|row| row[..23].to_vec())
+        .collect();
+    std::fs::write(&narrow, muffin_json::to_string(&json)).expect("write narrow data");
+    // `pool add` rewrites its pool on success, so it gets a copy.
+    let pool = tmp("misfit_pool.json");
+    std::fs::copy(&fixture_pool, &pool).expect("copy the fixture pool");
+    let before = std::fs::read(&pool).expect("pool bytes");
+    let out = tmp("misfit_out.json");
+    std::fs::remove_file(&out).ok();
+    for (bad, numbers) in [
+        (&fitzpatrick, "predicts 8 classes, but the data has 9"),
+        (&narrow, "reads 24 features, but the data has 23"),
+    ] {
+        for command in [
+            format!("evaluate --data {bad} --pool {pool}"),
+            format!("search --data {bad} --pool {pool} --attrs age --episodes 1 --out {out}"),
+            format!("pool add --data {bad} --pool {pool} --archs MobileNet_V2 --epochs 1"),
+        ] {
+            let result = muffin(&command.split_whitespace().collect::<Vec<_>>());
+            let stderr = String::from_utf8_lossy(&result.stderr);
+            assert_eq!(result.status.code(), Some(1), "{command}: {stderr}");
+            assert!(
+                stderr.contains(&pool)
+                    && stderr.contains("models[0] (ResNet-18)")
+                    && stderr.contains(numbers),
+                "{command}: the error must name the pool, the model and {numbers}: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{command}: {stderr}");
+            assert!(result.stdout.is_empty(), "{command} printed results");
+            assert!(
+                !std::path::Path::new(&out).exists(),
+                "{command} wrote its output"
+            );
+            assert!(
+                std::fs::read(&pool).expect("pool bytes") == before,
+                "{command} rewrote the pool"
+            );
+        }
+    }
+    for f in [fitzpatrick, narrow, pool] {
+        std::fs::remove_file(f).ok();
+    }
+}
+
 /// The entry `key` of a JSON object.
 fn json_field<'a>(json: &'a mut muffin_json::Json, key: &str) -> &'a mut muffin_json::Json {
     match json {

@@ -381,7 +381,8 @@ impl MuffinSearch {
     ///
     /// # Errors
     ///
-    /// Returns an error if the pool is empty, the episode budget, the
+    /// Returns an error if the pool is empty, a pool model's feature or
+    /// class count differs from the data's, the episode budget, the
     /// REINFORCE batch or the number of body slots is zero, a required
     /// model is out of range, an attribute name is unknown, or no
     /// unprivileged samples exist.
@@ -393,6 +394,8 @@ impl MuffinSearch {
         if pool.is_empty() {
             return Err(MuffinError::EmptyPool);
         }
+        pool.check_data(&split.train)
+            .map_err(MuffinError::InvalidConfig)?;
         if config.episodes == 0 {
             return Err(MuffinError::InvalidConfig(
                 "episodes must be positive".into(),
@@ -1152,6 +1155,31 @@ mod tests {
         let err = MuffinSearch::new(pool, split, SearchConfig::fast(&["age"]).with_episodes(0))
             .unwrap_err();
         assert!(matches!(err, MuffinError::InvalidConfig(_)));
+    }
+
+    #[test]
+    fn a_pool_that_does_not_fit_the_data_is_rejected() {
+        let mut rng = Rng64::seed(4);
+        let isic = IsicLike::small().generate(&mut rng).split_default(&mut rng);
+        let pool = ModelPool::train(
+            &isic.train,
+            &[Architecture::resnet18()],
+            &BackboneConfig::fast(),
+            &mut rng,
+        );
+        // Same 24 features, 9 classes instead of 8.
+        let fitzpatrick = muffin_data::FitzpatrickLike::new()
+            .with_num_samples(300)
+            .generate(&mut rng)
+            .split_default(&mut rng);
+        let err =
+            MuffinSearch::new(pool, fitzpatrick, SearchConfig::fast(&["skin_tone"])).unwrap_err();
+        assert_eq!(
+            err,
+            MuffinError::InvalidConfig(
+                "models[0] (ResNet-18) predicts 8 classes, but the data has 9".into()
+            )
+        );
     }
 
     #[test]

@@ -73,6 +73,11 @@ impl FrozenModel {
         self.mlp.spec().output_dim()
     }
 
+    /// Number of raw features the model reads.
+    pub(crate) fn feature_dim(&self) -> usize {
+        self.projection.rows()
+    }
+
     /// Projects raw features into this architecture's view.
     pub(crate) fn project(&self, features: &Matrix) -> Matrix {
         features.matmul(&self.projection)

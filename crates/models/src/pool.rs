@@ -120,6 +120,35 @@ impl ModelPool {
         self.models.len() - 1
     }
 
+    /// Checks that every model reads the features and predicts the classes
+    /// of `data`. The error names the first model that does not, by index
+    /// and name, with both numbers: `models[1] (ShuffleNet_V2_X1_0)
+    /// predicts 8 classes, but the data has 9`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the message above for the first mismatched model.
+    pub fn check_data(&self, data: &Dataset) -> Result<(), String> {
+        for (i, model) in self.models.iter().enumerate() {
+            let model_name = format!("models[{i}] ({})", model.name());
+            if model.feature_dim() != data.feature_dim() {
+                return Err(format!(
+                    "{model_name} reads {} features, but the data has {}",
+                    model.feature_dim(),
+                    data.feature_dim()
+                ));
+            }
+            if model.num_classes() != data.num_classes() {
+                return Err(format!(
+                    "{model_name} predicts {} classes, but the data has {}",
+                    model.num_classes(),
+                    data.num_classes()
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Probability outputs of every pool member on `features`, in pool
     /// order.
     pub fn predict_proba_all(&self, features: &Matrix) -> Vec<Matrix> {

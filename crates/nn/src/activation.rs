@@ -1,3 +1,4 @@
+use muffin_tensor::{tanh_in_place, Matrix};
 use std::fmt;
 
 /// Non-linear activation functions available to the muffin head search
@@ -51,12 +52,23 @@ impl Activation {
                 }
             }
             Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            Activation::Tanh => x.tanh(),
+            Activation::Tanh => tanh(x),
             Activation::Gelu => {
                 // tanh approximation of GELU.
                 let c = (2.0 / std::f32::consts::PI).sqrt();
-                0.5 * x * (1.0 + (c * (x + 0.044_715 * x * x * x)).tanh())
+                0.5 * x * (1.0 + tanh(c * (x + 0.044_715 * x * x * x)))
             }
+        }
+    }
+
+    /// Applies the activation to every logical element of `m` in place,
+    /// with the bits of [`Activation::apply`]. Tanh runs the vectorised
+    /// kernel over each logical row, so no padding lane is read or written.
+    pub(crate) fn apply_in_place(self, m: &mut Matrix) {
+        if self == Activation::Tanh {
+            m.iter_rows_mut().for_each(tanh_in_place);
+        } else {
+            m.map_in_place(|v| self.apply(v));
         }
     }
 
@@ -83,7 +95,7 @@ impl Activation {
                 s * (1.0 - s)
             }
             Activation::Tanh => {
-                let t = x.tanh();
+                let t = tanh(x);
                 1.0 - t * t
             }
             Activation::Gelu => {
@@ -126,6 +138,13 @@ impl Activation {
             Activation::Gelu => panic!("the GELU derivative needs the pre-activation"),
         }
     }
+}
+
+/// One value's `tanh` through the kernel: a zero-filled lane group.
+fn tanh(x: f32) -> f32 {
+    let mut lane = [x];
+    tanh_in_place(&mut lane);
+    lane[0]
 }
 
 impl fmt::Display for Activation {

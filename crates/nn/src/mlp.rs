@@ -191,8 +191,7 @@ impl Mlp {
         for (i, layer) in self.layers.iter().enumerate() {
             h = layer.forward(&h);
             if i < last {
-                let act = self.spec.activation;
-                h.map_in_place(|v| act.apply(v));
+                self.spec.activation.apply_in_place(&mut h);
             }
         }
         h
@@ -228,7 +227,7 @@ impl Mlp {
                 // Input to the next layer is the activated pre-activation.
                 let next = &mut cache.inputs[i + 1];
                 next.copy_from(&cache.pre_activations[i]);
-                next.map_in_place(|v| act.apply(v));
+                act.apply_in_place(next);
             }
         }
     }

@@ -1,5 +1,5 @@
 use crate::Parameterized;
-use muffin_tensor::{Init, Matrix, Rng64};
+use muffin_tensor::{tanh_in_place, Init, Matrix, Rng64};
 
 /// Forward cache for one [`RnnCell`] step, consumed by
 /// [`RnnCell::backward`] during backpropagation through time.
@@ -83,7 +83,7 @@ impl RnnCell {
         let hh = h_prev.matmul(&self.wh);
         z.axpy(1.0, &hh);
         z.add_row_in_place(&self.bias);
-        z.map_in_place(f32::tanh);
+        z.iter_rows_mut().for_each(tanh_in_place);
         let cache = RnnCache { input: x.clone(), h_prev: h_prev.clone(), h_new: z.clone() };
         (z, cache)
     }

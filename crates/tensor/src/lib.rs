@@ -27,8 +27,10 @@ mod error;
 mod init;
 mod matrix;
 mod ops;
+mod tanh;
 
 pub use error::ShapeError;
 pub use init::{Init, Rng64, SplitMix64};
 pub use matrix::{Matrix, LANE_WIDTH};
 pub use ops::{argmax, logsumexp, softmax_in_place};
+pub use tanh::tanh_in_place;

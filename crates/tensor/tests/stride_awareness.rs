@@ -8,7 +8,7 @@
 //! no kernel or serializer ever *reads* a padding lane.
 
 use muffin_check::{check, prop_assert, prop_assert_eq, Config, Gen};
-use muffin_tensor::{Matrix, LANE_WIDTH};
+use muffin_tensor::{tanh_in_place, Matrix, LANE_WIDTH};
 
 fn config() -> Config {
     Config::cases(64).with_seed(0x7E45_0206)
@@ -216,6 +216,27 @@ fn nothing_reads_poisoned_padding() {
                 let (cols, stride) = (prod.cols(), prod.stride());
                 for chunk in prod.padded_data().chunks_exact(stride.max(1)) {
                     prop_assert!(chunk[cols..].iter().all(|&x| x == 0.0));
+                }
+            }
+
+            // The tanh kernel, run over logical rows as the layers run it,
+            // gives the clean operand's outputs and leaves every poisoned
+            // padding lane as it was (row tails go through a zero-filled
+            // lane group, not through the padding).
+            for (clean, poisoned) in [(a, &pa), (b, &pb)] {
+                let (mut want, mut got) = (clean.clone(), poisoned.clone());
+                want.iter_rows_mut().for_each(tanh_in_place);
+                got.iter_rows_mut().for_each(tanh_in_place);
+                for (x, y) in want.to_vec().iter().zip(got.to_vec().iter()) {
+                    prop_assert_eq!(x.to_bits(), y.to_bits());
+                }
+                let (cols, stride) = (got.cols(), got.stride());
+                let rows = got.padded_data().chunks_exact(stride);
+                for (after, before) in rows.zip(poisoned.padded_data().chunks_exact(stride)) {
+                    prop_assert!(after[cols..]
+                        .iter()
+                        .zip(&before[cols..])
+                        .all(|(x, y)| x.to_bits() == y.to_bits()));
                 }
             }
             Ok(())

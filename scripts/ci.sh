@@ -31,6 +31,17 @@ if grep -v -E '^[0-9a-f]*[048c]0 ' target/ci-matmul-symbols.txt >&2; then
     exit 1
 fi
 
+echo "==> every tanh runs muffin_tensor::tanh_in_place (no libm tanh under crates/*/src)"
+# The kernel has the bits of glibc's tanhf on every input, so results do
+# not depend on the host's libm; one `.tanh()` or `f32::tanh` call would
+# make them depend on it again. Comments may name them, and the f32::tanh
+# oracles live in crates/*/tests.
+if grep -rnE '\.tanh\(|f32::tanh' crates/*/src \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' >&2; then
+    echo "ERROR: the calls above bypass muffin_tensor::tanh_in_place" >&2
+    exit 1
+fi
+
 echo "==> cargo test --no-run --offline (no compiler warnings)"
 # A deletion must not leave dead imports or items behind: any warning in
 # the test build fails the gate. Cargo replays the warnings of units it
@@ -59,6 +70,9 @@ fi
 echo "==> kernel equivalence + stride awareness (register-panel matmul vs naive oracle)"
 cargo test -q --offline -p muffin-tensor \
     --test kernel_equivalence --test stride_awareness
+
+echo "==> tanh kernel vs f32::tanh on all 2^32 inputs (release, one sign half per thread)"
+cargo test -q --release --offline -p muffin-tensor --test tanh_exactness -- --ignored
 
 echo "==> serial vs parallel search equivalence"
 cargo test -q --offline -p muffin-integration-tests --test parallel_equivalence
