@@ -14,15 +14,24 @@
 //! cargo test --release --offline -p muffin-tensor --test tanh_exactness -- --ignored
 //! ```
 //!
-//! Each also checks a digest of the kernel's outputs over its half
-//! against the value committed here, taken from glibc 2.36's `tanhf`.
-//! That pins the kernel on any host: where `f32::tanh` is not that
-//! `tanhf` (its own digest differs), the digest alone decides.
+//! Each of the three checks a digest of the kernel's outputs against the
+//! value committed here, taken from glibc 2.36's `tanhf`, and compares
+//! the kernel with `f32::tanh` input by input where the host's
+//! `f32::tanh` gives that digest too. That pins the kernel on any host:
+//! where `f32::tanh` is another `tanhf` (its digest differs), the digest
+//! alone decides.
 
 use muffin_tensor::tanh_in_place;
 
 fn same(a: f32, b: f32) -> bool {
     a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// The kernel on a one-element slice.
+fn tanh_one(x: f32) -> f32 {
+    let mut v = [x];
+    tanh_in_place(&mut v);
+    v[0]
 }
 
 /// Runs the kernel over `inputs`, cut into slices of every length from 1
@@ -41,27 +50,73 @@ fn kernel_outputs(inputs: &[f32]) -> Vec<f32> {
     out
 }
 
-fn assert_matches_libm(inputs: &[f32]) {
-    let got = kernel_outputs(inputs);
-    let bad: Vec<String> = inputs
-        .iter()
-        .zip(&got)
-        .filter(|&(&x, &y)| !same(y, x.tanh()))
-        .map(|(&x, &y)| {
-            format!(
-                "{:#010x}: kernel {y:e}, f32::tanh {:e}",
-                x.to_bits(),
-                x.tanh()
-            )
-        })
-        .collect();
-    assert!(
-        bad.is_empty(),
-        "{} of {} inputs differ, first: {:?}",
-        bad.len(),
-        inputs.len(),
-        &bad[..bad.len().min(8)]
-    );
+/// A multiply-rotate hash of the outputs' bit patterns in order, with
+/// every NaN counted as the one quiet NaN `0x7fc00000`.
+#[derive(Default)]
+struct Digest(u64);
+
+impl Digest {
+    fn push(&mut self, y: f32) {
+        let bits = if y.is_nan() { 0x7fc0_0000 } else { y.to_bits() };
+        self.0 = (self.0 ^ u64::from(bits))
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(31);
+    }
+}
+
+/// The kernel's outputs against `f32::tanh`'s, input by input, with a
+/// digest of each side.
+#[derive(Default)]
+struct Comparison {
+    kernel: Digest,
+    libm: Digest,
+    inputs: u64,
+    mismatches: u64,
+    /// The first few inputs that differ, described.
+    first: Vec<String>,
+}
+
+impl Comparison {
+    /// Adds `inputs`, with the kernel's `outputs` for them.
+    fn push(&mut self, inputs: &[f32], outputs: &[f32]) {
+        for (&x, &y) in inputs.iter().zip(outputs) {
+            let want = x.tanh();
+            self.kernel.push(y);
+            self.libm.push(want);
+            self.inputs += 1;
+            if !same(y, want) {
+                self.mismatches += 1;
+                if self.first.len() < 8 {
+                    self.first.push(format!(
+                        "{:#010x}: kernel {y:e}, f32::tanh {want:e}",
+                        x.to_bits()
+                    ));
+                }
+            }
+        }
+    }
+
+    /// Asserts that the kernel's digest is `expected` and, where the
+    /// host's `f32::tanh` gives `expected` too (it is the reference
+    /// `tanhf`), that no input differs, naming the first that do.
+    fn check(&self, expected: u64, what: &str) {
+        eprintln!(
+            "{what}: kernel digest {:#018x}, f32::tanh digest {:#018x}, \
+             {} of {} inputs differ",
+            self.kernel.0, self.libm.0, self.mismatches, self.inputs
+        );
+        if self.libm.0 == expected {
+            assert_eq!(
+                self.mismatches, 0,
+                "{what}: the kernel differs from f32::tanh, first: {:?}",
+                self.first
+            );
+        }
+        assert_eq!(
+            self.kernel.0, expected,
+            "{what}: the kernel's outputs changed"
+        );
+    }
 }
 
 /// `|x|` bit patterns at which `tanhf` or `expm1f` (on `±2|x|`) changes
@@ -94,13 +149,25 @@ fn thresholds() -> Vec<u32> {
     bits
 }
 
-#[test]
-fn kernel_equals_libm_on_every_997th_pattern_and_each_branch_threshold() {
+/// Every 997th bit pattern, then each of `thresholds()` with either sign.
+fn sample() -> Vec<f32> {
     let mut inputs: Vec<f32> = (0..=u32::MAX).step_by(997).map(f32::from_bits).collect();
     for b in thresholds() {
         inputs.extend([f32::from_bits(b), f32::from_bits(b | 0x8000_0000)]);
     }
-    assert_matches_libm(&inputs);
+    inputs
+}
+
+/// Digest of the kernel's outputs over `sample()`, in its order; f32::tanh
+/// on glibc 2.36 gives the same. A change to the sample changes it.
+const SAMPLE_DIGEST: u64 = 0xa14b_c4ac_4986_3fcf;
+
+#[test]
+fn kernel_equals_libm_on_every_997th_pattern_and_each_branch_threshold() {
+    let inputs = sample();
+    let mut comparison = Comparison::default();
+    comparison.push(&inputs, &kernel_outputs(&inputs));
+    comparison.check(SAMPLE_DIGEST, "tier-1 sample");
 }
 
 #[test]
@@ -113,27 +180,10 @@ fn kernel_reads_and_writes_nothing_past_its_slice() {
     tanh_in_place(&mut buf[4..17]);
     for (i, (&got, &x)) in buf.iter().zip(&before).enumerate() {
         if (4..17).contains(&i) {
-            assert_eq!(got.to_bits(), x.tanh().to_bits(), "element {i}");
+            assert_eq!(got.to_bits(), tanh_one(x).to_bits(), "element {i}");
         } else {
             assert_eq!(got.to_bits(), x.to_bits(), "element {i} outside the slice");
         }
-    }
-}
-
-/// A multiply-rotate hash of the outputs' bit patterns in order, with
-/// every NaN counted as the one quiet NaN `0x7fc00000`.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Self(0)
-    }
-
-    fn push(&mut self, y: f32) {
-        let bits = if y.is_nan() { 0x7fc0_0000 } else { y.to_bits() };
-        self.0 = (self.0 ^ u64::from(bits))
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .rotate_left(31);
     }
 }
 
@@ -147,35 +197,16 @@ fn check_sign_half(sign: u32, expected: u64) {
     const BLOCK: u32 = 1 << 16;
     let mut inputs = vec![0.0f32; BLOCK as usize];
     let mut outputs = inputs.clone();
-    let (mut kernel, mut libm) = (Digest::new(), Digest::new());
-    let (mut mismatches, mut first) = (0u64, None);
+    let mut comparison = Comparison::default();
     for block in 0..(1u32 << 31) / BLOCK {
         for (i, x) in (0..).zip(inputs.iter_mut()) {
             *x = f32::from_bits(sign | (block * BLOCK) | i);
         }
         outputs.copy_from_slice(&inputs);
         tanh_in_place(&mut outputs);
-        for (&x, &y) in inputs.iter().zip(&outputs) {
-            let want = x.tanh();
-            kernel.push(y);
-            libm.push(want);
-            if !same(y, want) {
-                mismatches += 1;
-                first.get_or_insert(x.to_bits());
-            }
-        }
+        comparison.push(&inputs, &outputs);
     }
-    eprintln!(
-        "sign {sign:#x}: kernel digest {:#018x}, f32::tanh digest {:#018x}, \
-         {mismatches} of 2^31 inputs differ (first: {first:#x?})",
-        kernel.0, libm.0
-    );
-    if libm.0 == expected {
-        // This host's tanhf is the reference one: name the first input
-        // the kernel gets wrong.
-        assert_eq!(mismatches, 0, "first input that differs: {first:#x?}");
-    }
-    assert_eq!(kernel.0, expected, "the kernel's outputs changed");
+    comparison.check(expected, &format!("sign {sign:#x}"));
 }
 
 #[test]

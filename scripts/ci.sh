@@ -34,8 +34,8 @@ fi
 echo "==> every tanh runs muffin_tensor::tanh_in_place (no libm tanh under crates/*/src)"
 # The kernel has the bits of glibc's tanhf on every input, so results do
 # not depend on the host's libm; one `.tanh()` or `f32::tanh` call would
-# make them depend on it again. Comments may name them, and the f32::tanh
-# oracles live in crates/*/tests.
+# make them depend on it again. Comments may name them, and the one
+# comparison with f32::tanh is crates/tensor/tests/tanh_exactness.rs.
 if grep -rnE '\.tanh\(|f32::tanh' crates/*/src \
     | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' >&2; then
     echo "ERROR: the calls above bypass muffin_tensor::tanh_in_place" >&2
