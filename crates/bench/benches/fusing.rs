@@ -73,6 +73,21 @@ fn bench_prediction_gating_ablation(h: &mut Harness) {
     h.bench("fused_prediction/body_cached", || {
         black_box(fusing.try_predict_cached(&cache).expect("valid"))
     });
+    // The serving path at one row: a fresh cache, so both bodies run, then
+    // the gate, on a row the bodies agree on (the head never runs) and on
+    // one they dispute.
+    let features = split.test.features();
+    let votes: Vec<Vec<usize>> = (0..2).map(|i| cache.predictions(i).to_vec()).collect();
+    for (label, consensus) in [("consensus", true), ("disputed", false)] {
+        let s = (0..features.rows())
+            .position(|s| (votes[0][s] == votes[1][s]) == consensus)
+            .expect("the test split has both kinds of row");
+        let row = features.row_range(s..s + 1);
+        h.bench(&format!("fused_prediction/one_row/{label}"), || {
+            let cache = muffin::BodyOutputCache::new(&pool, row.clone());
+            black_box(fusing.try_predict_cached(&cache).expect("valid"))
+        });
+    }
 }
 
 fn bench_proxy_build(h: &mut Harness) {

@@ -755,7 +755,8 @@ fn serve(args: &Args) -> Result<(), String> {
                 })
                 .collect();
             match sample {
-                // Width errors come back from the client as error replies.
+                // Width and non-finite errors come back from the client as
+                // error replies.
                 Ok(sample) => match client.request(&sample) {
                     Ok(class) => println!("ok {class}"),
                     Err(err) => println!("error: {err}"),
@@ -784,6 +785,9 @@ fn loadgen(args: &Args) -> Result<(), String> {
         return Err("--clients must be at least 1".into());
     }
     let requests_per_client = args.get_u64("requests", 200)?;
+    if requests_per_client == 0 {
+        return Err("--requests must be at least 1".into());
+    }
     let out = args.get("out");
     let trace_out = args.get("trace-out");
     // Fail before the run if an archive path can't be written.

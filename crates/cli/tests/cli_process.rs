@@ -910,7 +910,14 @@ fn serve_answers_stdin_requests_and_shuts_down_cleanly_on_eof() {
     use std::io::Write as _;
     // The demo deployment is IsicLike-small: 24 features per request.
     let good_row = vec!["0.5"; 24].join(",");
-    let input = format!("{good_row}\n1.0,2.0\nnot,numbers,at,all\n\n{good_row}\n");
+    // Rows that parse but are not finite: NaN, infinity, and a literal
+    // past f32's range, which parses to infinity.
+    let nan_row = good_row.replacen("0.5", "nan", 1);
+    let inf_row = format!("0.5,inf{}", &good_row[7..]);
+    let huge_row = format!("{}1e999", &good_row[..good_row.len() - 3]);
+    let input = format!(
+        "{good_row}\n1.0,2.0\nnot,numbers,at,all\n\n{nan_row}\n{inf_row}\n{huge_row}\n{good_row}\n"
+    );
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_muffin"))
         .args(["serve", "--seed", "9", "--workers", "2"])
         .stdin(std::process::Stdio::piped())
@@ -945,8 +952,16 @@ fn serve_answers_stdin_requests_and_shuts_down_cleanly_on_eof() {
         stdout.contains("error: invalid request: not a number"),
         "missing parse-error reply: {stdout}"
     );
+    // Non-finite features are refused, naming the feature, and counted.
+    for want in [
+        "error: invalid request: feature 0 is NaN, features must be finite",
+        "error: invalid request: feature 1 is inf, features must be finite",
+        "error: invalid request: feature 23 is inf, features must be finite",
+    ] {
+        assert!(stdout.contains(want), "missing {want:?}: {stdout}");
+    }
     assert!(
-        stdout.contains("served 2 ok, 0 shed, 1 errors"),
+        stdout.contains("served 2 ok, 0 shed, 4 errors"),
         "missing shutdown stats: {stdout}"
     );
 }
@@ -1094,6 +1109,7 @@ fn serve_and_loadgen_reject_bad_flags_before_training_anything() {
         ["loadgen", "--queue-depth", "0"],
         ["loadgen", "--batch", "0"],
         ["loadgen", "--clients", "0"],
+        ["loadgen", "--requests", "0"],
         ["serve", "--workers", "0"],
         ["serve", "--queue-depth", "0"],
     ] {

@@ -90,9 +90,9 @@ impl<'p> BodyOutputCache<'p> {
         &self.features
     }
 
-    /// Number of pool models the cache holds a slot for.
-    pub fn pool_len(&self) -> usize {
-        self.slots.len()
+    /// The pool whose models the cache runs, one slot per model.
+    pub(crate) fn pool(&self) -> &'p ModelPool {
+        self.pool
     }
 
     /// Number of cache accesses that found an already-computed slot.

@@ -336,90 +336,99 @@ impl FusingStructure {
             .expect("fusing structure validated against this pool")
     }
 
-    /// Predicts classes from cached body outputs, validating the body
+    /// Predicts classes from cached body outputs, validating the structure
     /// against the cache's pool up front and returning an error instead of
     /// panicking — the serving request path's entry point.
     ///
+    /// Consensus gating decides first, from the bodies' cached
+    /// predictions: a row where every body agrees takes their answer and
+    /// never reaches the head. The head runs once, on the disputed rows
+    /// alone (every row with gating off), reading each body's cached
+    /// probabilities for those rows side by side. The head answers each
+    /// row from that row alone, so the answers equal a head run over every
+    /// row. Each call reads each body's cache slot twice, once for its
+    /// predictions and once for its probabilities, whatever the gate
+    /// decides.
+    ///
     /// A [`FusingStructure`] deserialized from JSON bypasses the
-    /// constructor's checks, so a serving path must not assume its
-    /// `model_indices` are non-empty and in range.
+    /// constructor's checks, so a serving path must not assume its body
+    /// and head fit the pool or each other.
     ///
     /// # Errors
     ///
     /// Returns [`MuffinError::InvalidConfig`] if the structure selects no
-    /// body models, or selects an index out of range for the cache's pool,
-    /// or if a body model's prediction count disagrees with the head's.
+    /// body models, selects an index out of range for the cache's pool,
+    /// selects a model whose class count differs from the structure's, or
+    /// has a head whose input width differs from the selected models'
+    /// summed class counts.
     pub fn try_predict_cached(
         &self,
         cache: &BodyOutputCache<'_>,
     ) -> Result<Vec<usize>, MuffinError> {
-        self.validate_body(cache.pool_len())?;
-        let body_preds: Vec<&[usize]> = self
+        self.validate_body(cache.pool())?;
+        let votes: Vec<&[usize]> = self
             .model_indices
             .iter()
             .map(|&i| cache.predictions(i))
             .collect();
-        let inputs = cache.head_inputs(&self.model_indices);
-        let head_preds = self.head.predict(&inputs);
-        self.gated(&body_preds, head_preds)
+        let probs: Vec<&Matrix> = self.model_indices.iter().map(|&i| cache.probs(i)).collect();
+        let mut preds = votes[0].to_vec();
+        let disputed: Vec<usize> = (0..preds.len())
+            .filter(|&s| !self.consensus_gating || votes.iter().any(|v| v[s] != preds[s]))
+            .collect();
+        if disputed.is_empty() {
+            return Ok(preds);
+        }
+        let mut inputs = Matrix::zeros(disputed.len(), self.num_classes * probs.len());
+        for (r, &s) in disputed.iter().enumerate() {
+            let blocks = inputs.row_mut(r).chunks_exact_mut(self.num_classes);
+            for (block, p) in blocks.zip(&probs) {
+                block.copy_from_slice(p.row(s));
+            }
+        }
+        for (&s, class) in disputed.iter().zip(self.head.predict(&inputs)) {
+            preds[s] = class;
+        }
+        Ok(preds)
     }
 
-    /// Checks that the body selects at least one model and that every
-    /// selected index is in range for a pool of `pool_len` models —
-    /// the constructor guarantees both, JSON deserialization neither.
-    fn validate_body(&self, pool_len: usize) -> Result<(), MuffinError> {
+    /// Checks that the structure fits `pool`: it selects at least one
+    /// model, every selected index is in range, every selected model
+    /// predicts the structure's classes, and the head's first layer reads
+    /// exactly their concatenated probabilities. The constructor
+    /// guarantees all of it, JSON deserialization none.
+    fn validate_body(&self, pool: &ModelPool) -> Result<(), MuffinError> {
         if self.model_indices.is_empty() {
             return Err(MuffinError::InvalidConfig(
                 "fusing structure selects no body models".into(),
             ));
         }
+        let mut width = 0;
         for &i in &self.model_indices {
-            if i >= pool_len {
+            let model = pool.get(i).ok_or_else(|| {
+                MuffinError::InvalidConfig(format!(
+                    "model index {i} out of range for pool of {}",
+                    pool.len()
+                ))
+            })?;
+            if model.num_classes() != self.num_classes {
                 return Err(MuffinError::InvalidConfig(format!(
-                    "model index {i} out of range for pool of {pool_len}"
+                    "body model {i} ({}) predicts {} classes, but the structure has {}",
+                    model.name(),
+                    model.num_classes(),
+                    self.num_classes
                 )));
             }
+            width += model.num_classes();
+        }
+        let head_width = self.head.layers().first().map_or(0, |l| l.in_dim());
+        if head_width != width {
+            return Err(MuffinError::InvalidConfig(format!(
+                "the head reads {head_width} inputs, but its {} body models output {width} probabilities",
+                self.model_indices.len()
+            )));
         }
         Ok(())
-    }
-
-    /// Applies consensus gating: unanimous body predictions pass through,
-    /// the head arbitrates disagreements.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MuffinError::InvalidConfig`] when no body predictions are
-    /// supplied or a body's prediction vector is not exactly as long as the
-    /// head's — indexing ahead blindly would panic mid-request instead.
-    fn gated<P: AsRef<[usize]>>(
-        &self,
-        body_preds: &[P],
-        head_preds: Vec<usize>,
-    ) -> Result<Vec<usize>, MuffinError> {
-        if body_preds.is_empty() {
-            return Err(MuffinError::InvalidConfig(
-                "consensus gating needs at least one body prediction vector".into(),
-            ));
-        }
-        for (m, p) in body_preds.iter().enumerate() {
-            if p.as_ref().len() != head_preds.len() {
-                return Err(MuffinError::InvalidConfig(format!(
-                    "body model {m} predicted {} samples but the head predicted {}",
-                    p.as_ref().len(),
-                    head_preds.len()
-                )));
-            }
-        }
-        Ok((0..head_preds.len())
-            .map(|s| {
-                let first = body_preds[0].as_ref()[s];
-                if self.consensus_gating && body_preds.iter().all(|p| p.as_ref()[s] == first) {
-                    first
-                } else {
-                    head_preds[s]
-                }
-            })
-            .collect())
     }
 
     /// Evaluates the fused model on `dataset`.
@@ -756,32 +765,50 @@ mod tests {
     }
 
     #[test]
-    fn gating_errors_on_short_body_prediction_vectors() {
-        let (pool, _, _, mut rng) = setup();
-        let fusing = FusingStructure::new(
-            vec![0, 1],
-            HeadSpec::new(vec![8], Activation::Relu),
-            &pool,
-            &mut rng,
-        )
-        .expect("valid");
-        // A body vector shorter than the head's predictions used to panic
-        // with an out-of-bounds index inside the gating loop.
-        let short: Vec<Vec<usize>> = vec![vec![1, 2], vec![1, 2, 3]];
-        let err = fusing.gated(&short, vec![0, 0, 0]).unwrap_err();
-        assert!(
-            matches!(&err, MuffinError::InvalidConfig(m) if m.contains("predicted 2 samples")),
-            "{err:?}"
+    fn deserialized_structure_whose_head_does_not_fit_its_body_errors() {
+        let (pool, split, _, mut rng) = setup();
+        let spec = HeadSpec::new(vec![8], Activation::Relu);
+        let pair = FusingStructure::new(vec![0, 1], spec.clone(), &pool, &mut rng).expect("valid");
+        let single = FusingStructure::new(vec![0], spec, &pool, &mut rng).expect("valid");
+        let edit = |fusing: &FusingStructure, from: &str, to: &str| -> FusingStructure {
+            let json = muffin_json::to_string(fusing);
+            assert!(json.contains(from), "{json}");
+            muffin_json::from_str(&json.replace(from, to)).expect("parse")
+        };
+        let misfits = [
+            (
+                edit(&pair, "\"model_indices\":[0,1]", "\"model_indices\":[0]"),
+                "the head reads 16 inputs, but its 1 body models output 8 probabilities",
+            ),
+            (
+                edit(&single, "\"model_indices\":[0]", "\"model_indices\":[0,1]"),
+                "the head reads 8 inputs, but its 2 body models output 16 probabilities",
+            ),
+            (
+                edit(&pair, "\"num_classes\":8", "\"num_classes\":9"),
+                "body model 0 (ResNet-18) predicts 8 classes, but the structure has 9",
+            ),
+        ];
+        // Rows where the two bodies agree, where no head ever runs, and rows
+        // where they disagree, which reach the head of a two-body structure.
+        let features = split.test.features();
+        let (a, b) = (
+            pool.get(0).unwrap().predict(features),
+            pool.get(1).unwrap().predict(features),
         );
-        // And no body vectors at all is an error, not body_preds[0] panic.
-        let none: Vec<Vec<usize>> = vec![];
-        let err = fusing.gated(&none, vec![0]).unwrap_err();
-        assert!(matches!(err, MuffinError::InvalidConfig(_)), "{err:?}");
-        // Matching lengths still gate.
-        let ok = fusing
-            .gated(&[vec![1usize, 2], vec![1, 3]], vec![7, 7])
-            .expect("well-formed");
-        assert_eq!(ok, vec![1, 7]);
+        let (agreed, disputed): (Vec<usize>, Vec<usize>) =
+            (0..features.rows()).partition(|&s| a[s] == b[s]);
+        assert!(!agreed.is_empty() && !disputed.is_empty());
+        for rows in [agreed, disputed] {
+            let cache = BodyOutputCache::new(&pool, features.select_rows(&rows));
+            for (misfit, want) in &misfits {
+                let err = misfit.try_predict_cached(&cache).unwrap_err();
+                assert!(
+                    matches!(&err, MuffinError::InvalidConfig(m) if m.contains(want)),
+                    "{err:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -804,25 +831,42 @@ mod tests {
             &BackboneConfig::fast(),
             &mut rng,
         );
-        let fusing = FusingStructure::new(
+        let mut fusing = FusingStructure::new(
             vec![0, 1, 2],
             HeadSpec::new(vec![16], Activation::Relu),
             &pool,
             &mut rng,
         )
         .expect("valid");
-        let cache = BodyOutputCache::new(&pool, split.test.features().clone());
-        assert_eq!(cache.head_inputs(fusing.model_indices()).cols(), 3 * 8);
-        // Unanimous three-way agreement must pass through untouched.
-        let preds = fusing.predict(&pool, split.test.features());
+        let features = split.test.features();
+        let cache = BodyOutputCache::new(&pool, features.clone());
+        let all_rows = cache.head_inputs(fusing.model_indices());
+        assert_eq!(all_rows.cols(), 3 * 8);
+        // Unanimous three-way agreement must pass through untouched, and
+        // each disputed row, which alone reaches the head, must get the
+        // head's answer over the full `hcat`.
+        let head = fusing.head.predict(&all_rows);
+        let preds = fusing.predict(&pool, features);
         let bodies: Vec<Vec<usize>> = (0..3)
-            .map(|i| pool.get(i).unwrap().predict(split.test.features()))
+            .map(|i| pool.get(i).unwrap().predict(features))
             .collect();
+        let mut disputed = 0;
         for s in 0..preds.len() {
             if bodies.iter().all(|b| b[s] == bodies[0][s]) {
-                assert_eq!(preds[s], bodies[0][s]);
+                assert_eq!(preds[s], bodies[0][s], "consensus overridden at {s}");
+            } else {
+                disputed += 1;
+                assert_eq!(preds[s], head[s], "disputed row {s}");
             }
         }
+        assert!(
+            0 < disputed && disputed < preds.len(),
+            "{disputed} of {}",
+            preds.len()
+        );
+        // With gating off every row is disputed.
+        fusing.set_consensus_gating(false);
+        assert_eq!(fusing.predict(&pool, features), head);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 use crate::{Activation, Linear, Parameterized};
-use muffin_tensor::{Matrix, Rng64};
+use muffin_tensor::{softmax_in_place, Matrix, Rng64};
 
 /// Architecture description for an [`Mlp`].
 ///
@@ -182,17 +182,24 @@ impl Mlp {
 
     /// Forward pass returning raw logits.
     ///
+    /// Layers alternate between two buffers, each writing into the one the
+    /// previous layer did not, so a pass allocates two matrices at most
+    /// (more only when a later layer is wider than its buffer) and never
+    /// copies `x`. Every output row depends on its input row alone, so a
+    /// row's logits have the same bits in any batch.
+    ///
     /// # Panics
     ///
     /// Panics if `x.cols() != spec.input_dim()`.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(&h);
-            if i < last {
-                self.spec.activation.apply_in_place(&mut h);
-            }
+        let (first, rest) = self.layers.split_first().expect("an Mlp has a layer");
+        let mut h = Matrix::zeros(0, 0);
+        first.forward_into(x, &mut h);
+        let mut next = Matrix::zeros(0, 0);
+        for layer in rest {
+            self.spec.activation.apply_in_place(&mut h);
+            layer.forward_into(&h, &mut next);
+            std::mem::swap(&mut h, &mut next);
         }
         h
     }
@@ -301,7 +308,9 @@ impl Mlp {
 
     /// Softmax class probabilities for each row of `x`.
     pub fn predict_proba(&self, x: &Matrix) -> Matrix {
-        self.forward(x).softmax_rows()
+        let mut probs = self.forward(x);
+        probs.iter_rows_mut().for_each(softmax_in_place);
+        probs
     }
 
     /// Hard class predictions (argmax of the logits).
@@ -312,11 +321,13 @@ impl Mlp {
     /// Class probabilities and hard predictions from a **single** forward
     /// pass. Byte-identical to calling [`Mlp::predict_proba`] and
     /// [`Mlp::predict`] separately: predictions are the argmax of the raw
-    /// logits, not of the softmax output.
+    /// logits, not of the softmax output, which then replaces the logits in
+    /// place.
     pub fn predict_outputs(&self, x: &Matrix) -> (Matrix, Vec<usize>) {
-        let logits = self.forward(x);
+        let mut logits = self.forward(x);
         let preds = logits.argmax_rows();
-        (logits.softmax_rows(), preds)
+        logits.iter_rows_mut().for_each(softmax_in_place);
+        (logits, preds)
     }
 }
 

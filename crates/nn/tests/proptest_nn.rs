@@ -116,6 +116,53 @@ fn one_sgd_step_decreases_loss_on_fixed_batch() {
 }
 
 #[test]
+fn forward_over_any_row_subset_equals_those_rows_of_the_full_batch() {
+    // Consensus gating runs the head on the disputed rows alone, which
+    // changes no answer only because a row's logits do not depend on the
+    // other rows of its batch. Hidden widths 5, 13 and 18 end in lane tails.
+    check(
+        "Mlp::forward gives a row the same bits in any batch",
+        config(),
+        |g| {
+            let depth = g.usize_in(0..=3);
+            let hidden: Vec<usize> = (0..depth).map(|_| g.usize_in(0..=2)).collect();
+            let rows = g.usize_in(1..=40);
+            let keep: Vec<bool> = (0..rows).map(|_| g.bool(0.5)).collect();
+            (g.u64() % 1000, g.usize_in(0..=23), hidden, keep)
+        },
+        |(seed, input, hidden, keep)| {
+            let input = input % 24 + 1;
+            let hidden: Vec<usize> = hidden.iter().map(|&i| [5, 13, 18][i % 3]).collect();
+            let subset: Vec<usize> = (0..keep.len()).filter(|&r| keep[r]).collect();
+            for act in Activation::SEARCHABLE {
+                let mut rng = Rng64::seed(*seed);
+                let mlp = Mlp::new(
+                    &MlpSpec::new(input, &hidden, 8).with_activation(act),
+                    &mut rng,
+                );
+                let x = Matrix::random(
+                    keep.len(),
+                    input,
+                    Init::ScaledNormal { std_dev: 2.0 },
+                    &mut rng,
+                );
+                let full = mlp.forward(&x);
+                let part = mlp.forward(&x.select_rows(&subset));
+                prop_assert_eq!(part.shape(), (subset.len(), 8));
+                for (r, &s) in subset.iter().enumerate() {
+                    let (a, b) = (part.row(r), full.row(s));
+                    prop_assert!(
+                        a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
+                        "{act} {hidden:?}, row {s}: {a:?} vs {b:?}"
+                    );
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
 fn predictions_are_always_valid_classes() {
     check(
         "predict emits in-range classes",

@@ -95,8 +95,8 @@ impl ServeEngine {
     /// # Errors
     ///
     /// Returns [`MuffinError::InvalidConfig`] if the batch width does not
-    /// match [`ServeEngine::num_features`] or the fusing structure fails
-    /// validation against the pool.
+    /// match [`ServeEngine::num_features`], a feature is NaN or infinite,
+    /// or the fusing structure fails validation against the pool.
     pub fn predict_batch(&self, features: Matrix) -> Result<Vec<usize>, MuffinError> {
         if features.cols() != self.num_features {
             return Err(MuffinError::InvalidConfig(format!(
@@ -105,9 +105,24 @@ impl ServeEngine {
                 self.num_features
             )));
         }
+        for (r, row) in features.iter_rows().enumerate() {
+            if let Some(c) = non_finite(row) {
+                return Err(MuffinError::InvalidConfig(format!(
+                    "request batch row {r}, column {c} is {}: features must be finite",
+                    row[c]
+                )));
+            }
+        }
         let cache = BodyOutputCache::new(&self.pool, features);
         self.fusing.try_predict_cached(&cache)
     }
+}
+
+/// Column of the first NaN or infinite value in `row`. The backbones would
+/// answer such a row anyway (ReLU maps NaN to 0), with a class that means
+/// nothing.
+pub(crate) fn non_finite(row: &[f32]) -> Option<usize> {
+    row.iter().position(|v| !v.is_finite())
 }
 
 #[cfg(test)]
@@ -132,6 +147,25 @@ mod tests {
         let bad = Matrix::zeros(3, engine.num_features() + 1);
         let err = engine.predict_batch(bad).unwrap_err();
         assert!(matches!(err, MuffinError::InvalidConfig(_)), "{err:?}");
+    }
+
+    #[test]
+    fn non_finite_features_error_naming_row_and_column() {
+        let (engine, samples) = ServeEngine::demo(7);
+        for (bad, shown) in [
+            (f32::NAN, "NaN"),
+            (f32::INFINITY, "inf"),
+            (f32::NEG_INFINITY, "-inf"),
+        ] {
+            let mut batch = samples.row_range(0..3);
+            batch.set(2, 5, bad);
+            let err = engine.predict_batch(batch).unwrap_err();
+            let want = format!("request batch row 2, column 5 is {shown}");
+            assert!(
+                matches!(&err, MuffinError::InvalidConfig(m) if m.contains(&want)),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,3 +1,4 @@
+use crate::engine::non_finite;
 use crate::ServeEngine;
 use muffin_par::BoundedQueue;
 use muffin_tensor::Matrix;
@@ -15,7 +16,8 @@ pub enum ServeError {
     Overloaded,
     /// The server shut down before replying.
     Closed,
-    /// The request itself is malformed (wrong feature width).
+    /// The request itself is malformed (wrong feature width or a NaN or
+    /// infinite feature).
     InvalidRequest(String),
     /// The engine failed on the batch containing this request.
     Internal(String),
@@ -98,7 +100,8 @@ pub struct ServeStatsSnapshot {
     pub completed: u64,
     /// Requests rejected because the admission queue was full.
     pub shed: u64,
-    /// Requests answered with an error (bad width or engine failure).
+    /// Requests answered with an error (bad width, a non-finite feature
+    /// or an engine failure).
     pub errors: u64,
     /// Fused forward passes run (each serving 1..=max_batch requests).
     pub batches: u64,
@@ -125,8 +128,9 @@ impl ServeClient<'_> {
     ///
     /// # Errors
     ///
-    /// * [`ServeError::InvalidRequest`] — wrong feature width (counted as
-    ///   an error, never enqueued).
+    /// * [`ServeError::InvalidRequest`] — wrong feature width or a NaN or
+    ///   infinite feature (counted as an error, never enqueued, so it
+    ///   cannot fail the batch it would have joined).
     /// * [`ServeError::Overloaded`] — admission queue full; the request
     ///   was shed without blocking and the shed counter incremented.
     /// * [`ServeError::Internal`] — the engine rejected the batch.
@@ -138,6 +142,13 @@ impl ServeClient<'_> {
                 "expected {} features, got {}",
                 self.num_features,
                 sample.len()
+            )));
+        }
+        if let Some(c) = non_finite(sample) {
+            self.stats.errors.fetch_add(1, Ordering::Relaxed);
+            return Err(ServeError::InvalidRequest(format!(
+                "feature {c} is {}, features must be finite",
+                sample[c]
             )));
         }
         self.stats.submitted.fetch_add(1, Ordering::Relaxed);

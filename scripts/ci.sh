@@ -117,6 +117,11 @@ cargo test -q --offline -p muffin-integration-tests --test body_cache_equivalenc
 echo "==> serving: batching equivalence, load shedding, trace stability"
 cargo test -q --offline -p muffin-serve
 
+echo "==> serving: a 1-row request allocates at most 12 times on a consensus row, 17 on a disputed one"
+# The step above runs it in the test profile; this runs it in the release
+# profile the server ships in, where the optimiser may change the count.
+cargo test -q --release --offline -p muffin-serve --test request_allocations
+
 echo "==> serve loadgen smoke (fixed seed, bounded duration) + regression gate"
 # A short closed-loop run against the demo fused model: must exit 0, write
 # a bench-shaped report, and stay within the (generous, CI-noise-tolerant)
