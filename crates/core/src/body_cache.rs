@@ -120,11 +120,14 @@ impl<'p> BodyOutputCache<'p> {
         let mut computed = false;
         let out = lock.get_or_init(|| {
             computed = true;
-            let (probs, preds) = self
+            let (mut probs, preds) = self
                 .pool
                 .get(model)
                 .expect("index validated against pool length")
                 .outputs(&self.features);
+            // A slot lives as long as the cache, and the probabilities may
+            // sit in a forward buffer sized for a wider hidden layer.
+            probs.release_spare_pages();
             BodyOutput { probs, preds }
         });
         // If another thread won the init race, this access still served a

@@ -424,8 +424,8 @@ impl FusingStructure {
         let head_width = self.head.layers().first().map_or(0, |l| l.in_dim());
         if head_width != width {
             return Err(MuffinError::InvalidConfig(format!(
-                "the head reads {head_width} inputs, but its {} body models output {width} probabilities",
-                self.model_indices.len()
+                "the head reads {head_width} inputs, but the body {:?} outputs {width} probabilities",
+                self.model_indices
             )));
         }
         Ok(())
@@ -778,11 +778,11 @@ mod tests {
         let misfits = [
             (
                 edit(&pair, "\"model_indices\":[0,1]", "\"model_indices\":[0]"),
-                "the head reads 16 inputs, but its 1 body models output 8 probabilities",
+                "the head reads 16 inputs, but the body [0] outputs 8 probabilities",
             ),
             (
                 edit(&single, "\"model_indices\":[0]", "\"model_indices\":[0,1]"),
-                "the head reads 8 inputs, but its 2 body models output 16 probabilities",
+                "the head reads 8 inputs, but the body [0, 1] outputs 16 probabilities",
             ),
             (
                 edit(&pair, "\"num_classes\":8", "\"num_classes\":9"),

@@ -336,6 +336,17 @@ impl Matrix {
         self.data.extend_from_slice(&src.data);
     }
 
+    /// Gives back the backing store's spare capacity when it spans more
+    /// than a page (4 KiB), as when a buffer sized for a larger shape was
+    /// reused for this one. Less stays: giving it back would cost a
+    /// reallocation and free no page.
+    pub fn release_spare_pages(&mut self) {
+        let spare = (self.data.capacity() - self.data.len()) * std::mem::size_of::<Lane>();
+        if spare > 4096 {
+            self.data.shrink_to_fit();
+        }
+    }
+
     /// View of the backing store as a flat `f32` slice (including padding).
     #[inline]
     fn buf(&self) -> &[f32] {
@@ -1293,6 +1304,28 @@ mod tests {
         let src = m(3, 1, &[7., 8., 9.]);
         a.copy_from(&src);
         assert_eq!(a, src);
+    }
+
+    #[test]
+    fn release_spare_pages_frees_more_than_a_page_and_keeps_less() {
+        // 64 rows of 32 columns hold 256 lanes of 32 bytes. Reused for
+        // 64 rows of 16 they leave 128 lanes (a page) spare, of 24 (three
+        // lanes a row) 64 lanes, and for 2 rows of 8, 254 lanes.
+        for (rows, cols, spare_lanes) in [(64, 16, 128), (64, 24, 64), (2, 8, 254)] {
+            let mut a = Matrix::filled(64, 32, 1.5);
+            a.resize_zeroed(rows, cols);
+            a.set(rows - 1, cols - 1, 2.5);
+            let before = a.clone();
+            a.release_spare_pages();
+            assert_eq!(a, before);
+            let spare = a.data.capacity() - a.data.len();
+            let want = if spare_lanes * 32 > 4096 {
+                0
+            } else {
+                spare_lanes
+            };
+            assert_eq!(spare, want, "{rows}x{cols}");
+        }
     }
 
     #[test]
