@@ -1,5 +1,6 @@
 //! Benches for the tensor substrate: the matmul, tanh and softmax kernels
-//! every training loop in the workspace sits on.
+//! every training loop in the workspace sits on, and the allocation of the
+//! matrices they write.
 
 use muffin_bench::timing::{black_box, Harness};
 use muffin_tensor::{tanh_in_place, Init, Matrix, Rng64};
@@ -97,6 +98,19 @@ fn bench_softmax(h: &mut Harness) {
     h.bench("argmax_rows/512x8", || black_box(logits.argmax_rows()));
 }
 
+/// One matrix allocated and freed: the 16- and 64-wide buffers of a 1-row
+/// request, and a copy of a 64-row, 18-wide head-training activation.
+fn bench_matrix_alloc(h: &mut Harness) {
+    for cols in [16, 64] {
+        h.bench(&format!("matrix_alloc/zeros/1x{cols}"), || {
+            black_box(Matrix::zeros(1, cols))
+        });
+    }
+    let mut rng = Rng64::seed(6);
+    let activation = Matrix::random(64, 18, Init::ScaledNormal { std_dev: 1.0 }, &mut rng);
+    h.bench("matrix_alloc/clone/64x18", || black_box(activation.clone()));
+}
+
 fn main() {
     let mut h = Harness::new("tensor_ops");
     bench_matmul(&mut h);
@@ -104,5 +118,6 @@ fn main() {
     bench_matmul_transposed_variants(&mut h);
     bench_tanh(&mut h);
     bench_softmax(&mut h);
+    bench_matrix_alloc(&mut h);
     h.finish();
 }

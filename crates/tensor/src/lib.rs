@@ -23,6 +23,8 @@
 //!
 //! [`muffin-nn`]: https://example.invalid/muffin
 
+#![forbid(unsafe_code)]
+
 mod error;
 mod init;
 mod matrix;

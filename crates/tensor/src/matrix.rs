@@ -7,20 +7,19 @@ use std::ops::{Add, Mul, Sub};
 /// multiple of this so every row starts on a 32-byte boundary.
 pub const LANE_WIDTH: usize = 8;
 
-/// One 32-byte-aligned group of [`LANE_WIDTH`] floats. Backing the matrix
-/// store with a `Vec<Lane>` (instead of `Vec<f32>`) is what guarantees the
-/// allocation itself is 32-byte aligned without a custom allocator.
-#[derive(Clone, Copy)]
-#[repr(C, align(32))]
-struct Lane([f32; LANE_WIDTH]);
-
-const ZERO_LANE: Lane = Lane([0.0; LANE_WIDTH]);
-
 /// Row stride (in `f32`s) for a logical column count: `cols` rounded up to
 /// the SIMD lane width. Zero iff `cols` is zero.
 #[inline]
 fn padded_stride(cols: usize) -> usize {
     (cols + LANE_WIDTH - 1) / LANE_WIDTH * LANE_WIDTH
+}
+
+/// Index of the first 32-byte boundary in `data`'s allocation, from its
+/// address (`align_offset` may answer `usize::MAX`). An `f32` allocation
+/// is 4-byte aligned, so the index is at most `LANE_WIDTH - 1`.
+fn first_boundary(data: &[f32]) -> usize {
+    let lane_bytes = LANE_WIDTH * size_of::<f32>();
+    (lane_bytes - data.as_ptr().addr() % lane_bytes) % lane_bytes / size_of::<f32>()
 }
 
 /// Widest register panel (four lanes): the matmul kernels hold up to this
@@ -60,26 +59,33 @@ type PanelKernel = fn(&Matrix, &Matrix, &mut Matrix, usize);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     /// Distance in `f32`s between consecutive row starts; `cols` rounded up
     /// to [`LANE_WIDTH`]. Zero iff `cols` is zero.
     stride: usize,
-    data: Vec<Lane>,
+    /// Index in `data` of the store's first float: the allocation's first
+    /// 32-byte boundary (zero for an empty store).
+    offset: usize,
+    /// The allocation: `offset` floats of slack, then the store's
+    /// `rows * stride` floats, which end the vector. Only `lay_out_store`
+    /// allocates it.
+    data: Vec<f32>,
 }
 
 impl Matrix {
     /// Creates a matrix of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        let stride = padded_stride(cols);
-        Self {
-            rows,
-            cols,
-            stride,
-            data: vec![ZERO_LANE; rows * stride / LANE_WIDTH],
-        }
+        let mut m = Self {
+            rows: 0,
+            cols: 0,
+            stride: 0,
+            offset: 0,
+            data: Vec::new(),
+        };
+        m.resize_zeroed(rows, cols);
+        m
     }
 
     /// Creates a matrix filled with `value`.
@@ -225,12 +231,6 @@ impl Matrix {
         out
     }
 
-    /// Consumes the matrix and returns its logical elements as a compact
-    /// row-major vector.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.to_vec()
-    }
-
     /// Element at `(r, c)`.
     ///
     /// # Panics
@@ -321,9 +321,7 @@ impl Matrix {
         self.rows = rows;
         self.cols = cols;
         self.stride = padded_stride(cols);
-        let lanes = rows * self.stride / LANE_WIDTH;
-        self.data.clear();
-        self.data.resize(lanes, ZERO_LANE);
+        self.lay_out_store(None);
     }
 
     /// Overwrites `self` with the shape and contents of `src`, reusing the
@@ -332,45 +330,61 @@ impl Matrix {
         self.rows = src.rows;
         self.cols = src.cols;
         self.stride = src.stride;
-        self.data.clear();
-        self.data.extend_from_slice(&src.data);
+        self.lay_out_store(Some(src.buf()));
     }
 
     /// Gives back the backing store's spare capacity when it spans more
     /// than a page (4 KiB), as when a buffer sized for a larger shape was
     /// reused for this one. Less stays: giving it back would cost a
-    /// reallocation and free no page.
+    /// reallocation and free no page. The `LANE_WIDTH - 1` floats of
+    /// alignment slack every allocation carries are not spare.
     pub fn release_spare_pages(&mut self) {
-        let spare = (self.data.capacity() - self.data.len()) * std::mem::size_of::<Lane>();
-        if spare > 4096 {
-            self.data.shrink_to_fit();
+        let used = self.rows * self.stride + LANE_WIDTH - 1;
+        if self.data.capacity().saturating_sub(used) * size_of::<f32>() > 4096 {
+            let old = std::mem::take(&mut self.data);
+            self.lay_out_store(Some(&old[self.offset..]));
+        }
+    }
+
+    /// Lays out the store for the current shape: `rows * stride` floats
+    /// from the first 32-byte boundary in `data`, copied from `src` (which
+    /// holds exactly that many) or else zero. The one place `data` is
+    /// allocated: the allocation is kept when the store fits in it from
+    /// that boundary, and otherwise replaced by one with `LANE_WIDTH - 1`
+    /// floats of slack, enough to reach a boundary from any `f32` address.
+    /// A plain `Vec<f32>` is allocated by `malloc`, which glibc serves from
+    /// a per-thread cache; an over-aligned element type would take
+    /// `posix_memalign`, which it does not (DESIGN.md §11).
+    fn lay_out_store(&mut self, src: Option<&[f32]>) {
+        let len = self.rows * self.stride;
+        self.data.clear();
+        if len > 0 && first_boundary(&self.data) + len > self.data.capacity() {
+            self.data = Vec::new();
+            self.data.reserve_exact(len + LANE_WIDTH - 1);
+        }
+        self.offset = match len {
+            0 => 0,
+            _ => first_boundary(&self.data),
+        };
+        match src {
+            None => self.data.resize(self.offset + len, 0.0),
+            Some(src) => {
+                self.data.resize(self.offset, 0.0);
+                self.data.extend_from_slice(src);
+            }
         }
     }
 
     /// View of the backing store as a flat `f32` slice (including padding).
     #[inline]
     fn buf(&self) -> &[f32] {
-        // SAFETY: `Lane` is `repr(C)` over `[f32; LANE_WIDTH]`, so a
-        // `Vec<Lane>` is layout-compatible with a contiguous run of
-        // `len * LANE_WIDTH` floats at alignment 32 >= 4.
-        unsafe {
-            std::slice::from_raw_parts(
-                self.data.as_ptr().cast::<f32>(),
-                self.data.len() * LANE_WIDTH,
-            )
-        }
+        &self.data[self.offset..]
     }
 
     /// Mutable view of the backing store as a flat `f32` slice.
     #[inline]
     fn buf_mut(&mut self) -> &mut [f32] {
-        // SAFETY: see `buf`.
-        unsafe {
-            std::slice::from_raw_parts_mut(
-                self.data.as_mut_ptr().cast::<f32>(),
-                self.data.len() * LANE_WIDTH,
-            )
-        }
+        &mut self.data[self.offset..]
     }
 
     /// Matrix product `self · other`.
@@ -581,15 +595,6 @@ impl Matrix {
                 *a = f(*a, b);
             }
         }
-    }
-
-    /// Element-wise (Hadamard) product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        self.zip_map(other, |a, b| a * b)
     }
 
     /// Multiplies every element by `s`, returning a new matrix.
@@ -953,6 +958,17 @@ fn matmul_nt_panel<const W: usize>(a: &Matrix, b: &Matrix, out: &mut Matrix, j0:
     }
 }
 
+impl Clone for Matrix {
+    /// Copies the store to the new allocation's own first 32-byte
+    /// boundary: a derived clone would keep `offset`, which in the new
+    /// block need not point at one.
+    fn clone(&self) -> Self {
+        let mut m = Matrix::zeros(0, 0);
+        m.copy_from(self);
+        m
+    }
+}
+
 impl PartialEq for Matrix {
     /// Logical equality: shapes match and every logical element compares
     /// equal (`NaN != NaN`, as for raw `f32`). Padding lanes never
@@ -1170,13 +1186,6 @@ mod tests {
     }
 
     #[test]
-    fn hadamard_multiplies_elementwise() {
-        let a = m(1, 3, &[1., 2., 3.]);
-        let b = m(1, 3, &[4., 5., 6.]);
-        assert_eq!(a.hadamard(&b), m(1, 3, &[4., 10., 18.]));
-    }
-
-    #[test]
     fn axpy_accumulates() {
         let mut a = m(1, 2, &[1., 1.]);
         let b = m(1, 2, &[2., 4.]);
@@ -1308,21 +1317,23 @@ mod tests {
 
     #[test]
     fn release_spare_pages_frees_more_than_a_page_and_keeps_less() {
-        // 64 rows of 32 columns hold 256 lanes of 32 bytes. Reused for
-        // 64 rows of 16 they leave 128 lanes (a page) spare, of 24 (three
-        // lanes a row) 64 lanes, and for 2 rows of 8, 254 lanes.
-        for (rows, cols, spare_lanes) in [(64, 16, 128), (64, 24, 64), (2, 8, 254)] {
+        // 64 rows of 32 columns hold 2,048 floats. Reused for 64 rows of
+        // 16 they leave 1,024 floats (a page) spare, of 24 (three lanes a
+        // row) 512 floats, and for 2 rows of 8, 2,032 floats. The
+        // `LANE_WIDTH - 1` floats of alignment slack are never spare.
+        for (rows, cols, spare_floats) in [(64, 16, 1024), (64, 24, 512), (2, 8, 2032)] {
             let mut a = Matrix::filled(64, 32, 1.5);
             a.resize_zeroed(rows, cols);
             a.set(rows - 1, cols - 1, 2.5);
             let before = a.clone();
             a.release_spare_pages();
             assert_eq!(a, before);
-            let spare = a.data.capacity() - a.data.len();
-            let want = if spare_lanes * 32 > 4096 {
+            assert_eq!(a.padded_data().as_ptr() as usize % 32, 0);
+            let spare = a.data.capacity() - (LANE_WIDTH - 1) - a.padded_data().len();
+            let want = if spare_floats * 4 > 4096 {
                 0
             } else {
-                spare_lanes
+                spare_floats
             };
             assert_eq!(spare, want, "{rows}x{cols}");
         }

@@ -37,28 +37,85 @@ fn poison_padding(m: &mut Matrix) {
     }
 }
 
+/// Checks the layout every path that allocates or reshapes a store must
+/// leave: the stride is `cols` rounded up to the lane width, the store's
+/// first float sits on a 32-byte boundary, and every padding lane is zero.
+fn check_layout(path: &str, m: &Matrix) -> Result<(), String> {
+    let (cols, stride) = (m.cols(), m.stride());
+    prop_assert_eq!(stride, cols.div_ceil(LANE_WIDTH) * LANE_WIDTH, "{path}");
+    prop_assert_eq!(m.padded_data().len(), m.rows() * stride, "{path}");
+    prop_assert_eq!(m.padded_data().as_ptr() as usize % 32, 0, "{path}");
+    for chunk in m.padded_data().chunks_exact(stride) {
+        prop_assert!(chunk[cols..].iter().all(|&x| x == 0.0), "{path}");
+    }
+    Ok(())
+}
+
 #[test]
 fn storage_is_32_byte_aligned_with_lane_stride() {
     check(
-        "layout invariants",
+        "every path that allocates or reshapes a store keeps the layout",
         config(),
-        |g| gen_padded(g, 13),
-        |m| {
-            prop_assert_eq!(
-                m.stride(),
-                (m.cols() + LANE_WIDTH - 1) / LANE_WIDTH * LANE_WIDTH
-            );
+        |g: &mut Gen| {
+            let m = gen_padded(g, 13);
+            // At least 14 rows of 16 floats: more than `m`'s store (at
+            // most 13 rows of 16) and its 7 floats of alignment slack, so
+            // a copy of `m` outgrows its allocation to take this shape.
+            let big = g.matrix(14..=20, 9..=20, -9.0, 9.0);
+            (m, big)
+        },
+        |(m, big)| {
             prop_assert!(
                 m.stride() > m.cols(),
                 "gen_padded must produce real padding"
             );
-            prop_assert_eq!(m.padded_data().len(), m.rows() * m.stride());
-            prop_assert_eq!(m.padded_data().as_ptr() as usize % 32, 0);
-            // Freshly constructed storage has zeroed padding.
-            let (cols, stride) = (m.cols(), m.stride());
-            for chunk in m.padded_data().chunks_exact(stride) {
-                prop_assert!(chunk[cols..].iter().all(|&x| x == 0.0));
+            let (rows, cols) = m.shape();
+            let row_slices: Vec<&[f32]> = m.iter_rows().collect();
+            let from_rows = Matrix::from_rows(&row_slices).map_err(|e| e.to_string())?;
+            let from_vec = Matrix::from_vec(rows, cols, m.to_vec()).map_err(|e| e.to_string())?;
+            check_layout("zeros", &Matrix::zeros(rows, cols))?;
+            check_layout("filled", &Matrix::filled(rows, cols, -1.5))?;
+            check_layout("from_vec", &from_vec)?;
+            check_layout("from_rows", &from_rows)?;
+            check_layout("from_fn", &Matrix::from_fn(rows, cols, |r, c| m.get(r, c)))?;
+            check_layout("clone", &m.clone())?;
+
+            for (dst, src, way) in [(m, big, "growing"), (big, m, "shrinking")] {
+                let mut copied = dst.clone();
+                copied.copy_from(src);
+                check_layout(&format!("copy_from, {way}"), &copied)?;
+                prop_assert!(copied == *src, "copy_from, {way}");
+                let mut zeroed = dst.clone();
+                zeroed.resize_zeroed(src.rows(), src.cols());
+                check_layout(&format!("resize_zeroed, {way}"), &zeroed)?;
+                prop_assert!(zeroed.padded_data().iter().all(|&x| x == 0.0));
             }
+
+            // `m` in a 64×32 allocation leaves over a page of it spare,
+            // so the store moves to a new allocation.
+            let mut released = Matrix::filled(64, 32, 1.5);
+            released.copy_from(m);
+            released.release_spare_pages();
+            check_layout("release_spare_pages", &released)?;
+            prop_assert!(released == *m, "release_spare_pages");
+
+            check_layout("row_range", &m.row_range(rows / 2..rows))?;
+            check_layout("select_rows", &m.select_rows(&[rows - 1, 0]))?;
+            let cat = Matrix::hcat(&[m, m]).map_err(|e| e.to_string())?;
+            check_layout("hcat", &cat)?;
+            check_layout("transpose", &m.transpose())?;
+            check_layout("map", &m.map(|x| x * 2.0))?;
+            check_layout("zip_map", &m.zip_map(m, |x, y| x - y))?;
+
+            // The three products, through one output buffer that each
+            // call reshapes.
+            let mut out = Matrix::filled(1, 1, 4.0);
+            m.matmul_into(&m.transpose(), &mut out);
+            check_layout("matmul_into", &out)?;
+            m.matmul_tn_into(m, &mut out);
+            check_layout("matmul_tn_into", &out)?;
+            m.matmul_nt_into(m, &mut out);
+            check_layout("matmul_nt_into", &out)?;
             Ok(())
         },
     );
@@ -191,7 +248,7 @@ fn nothing_reads_poisoned_padding() {
                 (a.transpose(), pa.transpose()),
                 (a.softmax_rows(), pa.softmax_rows()),
                 (a + a, &pa + &pa),
-                (a.hadamard(a), pa.hadamard(&pa)),
+                (a.zip_map(a, |x, y| x * y), pa.zip_map(&pa, |x, y| x * y)),
                 (a.scaled(-2.0), pa.scaled(-2.0)),
             ]
             .map(|(clean, poisoned)| (clean.to_vec(), poisoned.to_vec()));
