@@ -1,7 +1,5 @@
 //! Minimal `--key value` argument parsing, dependency-free.
 
-use std::collections::BTreeMap;
-
 /// Options that are boolean flags: they take no value and parse as `true`
 /// when present. Everything else follows the strict `--key value` shape.
 const FLAG_OPTIONS: &[&str] = &["verbose", "resume", "dry-run"];
@@ -26,7 +24,9 @@ const COMMAND_GROUPS: &[&str] = &["trace", "pool"];
 #[derive(Debug, Clone)]
 pub struct Args {
     command: String,
-    options: BTreeMap<String, String>,
+    /// `(key, value)` pairs in command-line order, repeats included, so
+    /// that [`Args::reject_unknown_or_repeated`] can refuse a repeated flag.
+    options: Vec<(String, String)>,
 }
 
 impl Args {
@@ -55,19 +55,19 @@ impl Args {
             }
             command = format!("{command} {action}");
         }
-        let mut options = BTreeMap::new();
+        let mut options = Vec::new();
         while let Some(key) = iter.next() {
             let Some(name) = key.strip_prefix("--") else {
                 return Err(format!("unexpected positional argument: {key}"));
             };
             if FLAG_OPTIONS.contains(&name) {
-                options.insert(name.to_string(), "true".to_string());
+                options.push((name.to_string(), "true".to_string()));
                 continue;
             }
             let value = iter
                 .next()
                 .ok_or_else(|| format!("option --{name} is missing its value"))?;
-            options.insert(name.to_string(), value);
+            options.push((name.to_string(), value));
         }
         Ok(Self { command, options })
     }
@@ -88,7 +88,10 @@ impl Args {
 
     /// A raw string option.
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.options.get(key).map(String::as_str)
+        self.options
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
     }
 
     /// A required string option.
@@ -148,15 +151,20 @@ impl Args {
         self.get(key).is_some()
     }
 
-    /// Rejects any option not in `known`, the flags the command reads.
+    /// Rejects any option not in `known`, the flags the command reads,
+    /// and any option given more than once.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first unknown flag and the command.
-    pub(crate) fn reject_unknown(&self, known: &[&str]) -> Result<(), String> {
-        for key in self.options.keys() {
+    /// Returns a message naming the command and the first unknown or
+    /// repeated flag.
+    pub(crate) fn reject_unknown_or_repeated(&self, known: &[&str]) -> Result<(), String> {
+        for (i, (key, _)) in self.options.iter().enumerate() {
             if !known.contains(&key.as_str()) {
                 return Err(format!("{} does not take --{key}", self.command));
+            }
+            if self.options[..i].iter().any(|(earlier, _)| earlier == key) {
+                return Err(format!("{} was given --{key} more than once", self.command));
             }
         }
         Ok(())
@@ -264,6 +272,21 @@ mod tests {
         let args = Args::parse_from(["trace", "summarize", "--trace", "log.json"]).expect("valid");
         assert_eq!(args.command(), "trace summarize");
         assert_eq!(args.get("trace"), Some("log.json"));
+    }
+
+    #[test]
+    fn a_repeated_flag_is_rejected_by_name() {
+        let args = Args::parse_from(["generate", "--samples", "50", "--samples", "60"])
+            .expect("repeats parse; the command rejects them");
+        let err = args.reject_unknown_or_repeated(&["samples"]).unwrap_err();
+        assert!(
+            err.contains("--samples") && err.contains("more than once"),
+            "{err}"
+        );
+        let args = Args::parse_from(["search", "--verbose", "--verbose"]).expect("valid");
+        assert!(args.reject_unknown_or_repeated(&["verbose"]).is_err());
+        let args = Args::parse_from(["generate", "--samples", "50"]).expect("valid");
+        assert!(args.reject_unknown_or_repeated(&["samples"]).is_ok());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 use crate::Args;
 use muffin::{
-    distill_student, summarize, DistillConfig, MuffinError, MuffinSearch, PersistenceOptions,
-    SearchConfig, SearchOutcome, TextTable, TraceLog, Tracer, WorkerPool,
+    distill_student, summarize, DistillConfig, MuffinSearch, PersistenceOptions, SearchConfig,
+    SearchOutcome, TextTable, TraceLog, Tracer, WorkerPool,
 };
 use muffin_data::{Dataset, FitzpatrickLike, IsicLike};
 use muffin_models::{format_model_id, Architecture, BackboneConfig, ModelIdentity, ModelPool};
@@ -86,9 +86,6 @@ COMMANDS:
                 same seed/config/pool/data are reused, counted on the
                 search.cache_hit_disk trace counter; the file is
                 rewritten with the merged cache afterwards)
-              --stop-after N (optional, needs --checkpoint: halt at the
-                first batch boundary at or past episode N, writing a
-                checkpoint — an operator drill for kill/resume)
               --verbose (print progress lines to stderr; without it the
                 run is silent apart from the result)
   matrix      Benchmark grid: one Muffin search per scenario × reward cell
@@ -117,11 +114,10 @@ COMMANDS:
               --verbose (phase progress on stderr)
   serve       Serve the demo fused model over stdin, one request per line
               --seed S (default 7: demo pool/head training seed)
-              --queue-depth N (default 64)  --batch N (default 16)
-              --workers N (default 2)
               Each input line is comma-separated feature values; each
-              output line is `ok <class>` or `error: ...`. EOF shuts the
-              server down cleanly and prints admission statistics.
+              output line is `ok <class>` or `error: ...`, answered before
+              the next line is read. EOF shuts the server down cleanly
+              and prints admission statistics.
   loadgen     Closed-loop load generator against the demo fused model
               --seed S (default 7)        --clients N (default 4)
               --requests N (default 200: issued per client)
@@ -184,7 +180,6 @@ const COMMANDS: &[(&str, &[&str], Handler)] = &[
             "checkpoint-every",
             "resume",
             "eval-cache",
-            "stop-after",
             "distill-out",
             "student-hidden",
         ],
@@ -210,7 +205,7 @@ const COMMANDS: &[(&str, &[&str], Handler)] = &[
         ],
         crate::matrix::matrix,
     ),
-    ("serve", &["queue-depth", "batch", "workers", "seed"], serve),
+    ("serve", &["seed"], serve),
     (
         "loadgen",
         &[
@@ -247,7 +242,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     else {
         return Err(format!("unknown command: {}\n\n{USAGE}", args.command()));
     };
-    args.reject_unknown(flags)?;
+    args.reject_unknown_or_repeated(flags)?;
     handler(args)
 }
 
@@ -564,18 +559,8 @@ fn search(args: &Args) -> Result<(), String> {
     let checkpoint_every = args.get_u32("checkpoint-every", 10)?;
     let resume = args.get_flag("resume");
     let eval_cache = args.get("eval-cache").map(std::path::PathBuf::from);
-    let stop_after = match args.get("stop-after") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<u32>()
-                .map_err(|_| format!("--stop-after expects an integer, got {v}"))?,
-        ),
-    };
     if resume && checkpoint.is_none() {
         return Err("--resume requires --checkpoint".into());
-    }
-    if stop_after.is_some() && checkpoint.is_none() {
-        return Err("--stop-after requires --checkpoint".into());
     }
     if args.get("checkpoint-every").is_some() && checkpoint.is_none() {
         return Err("--checkpoint-every requires --checkpoint".into());
@@ -629,39 +614,18 @@ fn search(args: &Args) -> Result<(), String> {
         )
     });
     let persistence = PersistenceOptions {
-        checkpoint: checkpoint.clone(),
+        checkpoint,
         checkpoint_every,
         resume,
         eval_cache,
-        halt_after: stop_after,
-        ..PersistenceOptions::default()
     };
-    let outcome = match search.run_persistent(
-        &mut Rng64::seed(seed),
-        &WorkerPool::new(workers),
-        &persistence,
-    ) {
-        Ok(outcome) => outcome,
-        Err(MuffinError::Halted { episode }) => {
-            // Deliberate --stop-after halt: the checkpoint is on disk, so
-            // this is a success for the operator, not an error.
-            if let Some(path) = trace_out {
-                let log = search.tracer().finish();
-                log.save_json(path)?;
-                println!("trace log ({} events) written to {path}", log.events.len());
-            }
-            let ckpt = checkpoint
-                .as_ref()
-                .expect("--stop-after requires --checkpoint");
-            println!(
-                "search halted at episode {episode}; checkpoint written to {}; \
-                 rerun with --resume to continue",
-                ckpt.display()
-            );
-            return Ok(());
-        }
-        Err(e) => return Err(e.to_string()),
-    };
+    let outcome = search
+        .run_persistent(
+            &mut Rng64::seed(seed),
+            &WorkerPool::new(workers),
+            &persistence,
+        )
+        .map_err(|e| e.to_string())?;
     outcome.save_json(out)?;
     if let Some(path) = trace_out {
         let log = search.tracer().finish();
@@ -700,41 +664,20 @@ fn search(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses the shared serving-loop flags (`--queue-depth`, `--batch`,
-/// `--workers`) into a [`ServeConfig`] with no worker delay.
-fn serve_config(args: &Args) -> Result<ServeConfig, String> {
-    let queue_depth = args.get_usize("queue-depth", 64)?;
-    if queue_depth == 0 {
-        return Err("--queue-depth must be at least 1".into());
-    }
-    let max_batch = args.get_usize("batch", 16)?;
-    if max_batch == 0 {
-        return Err("--batch must be at least 1".into());
-    }
-    let workers = args.get_usize("workers", 2)?;
-    if workers == 0 {
-        return Err("--workers must be at least 1".into());
-    }
-    Ok(ServeConfig {
-        queue_depth,
-        max_batch,
-        workers,
-        worker_delay: Duration::ZERO,
-    })
-}
-
 fn serve(args: &Args) -> Result<(), String> {
-    let config = serve_config(args)?;
     let seed = args.get_u64("seed", 7)?;
     let (engine, _) = ServeEngine::demo(seed);
+    // The stdin loop below waits for each reply before it reads the next
+    // line, so the queue never holds more than one request: one worker
+    // serves them all, and no batch ever coalesces.
+    let config = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
     println!(
-        "serving demo fused model: {} features per request, {} classes, \
-         {} workers, queue depth {}, max batch {}",
+        "serving demo fused model: {} features per request, {} classes",
         engine.num_features(),
         engine.num_classes(),
-        config.workers,
-        config.queue_depth,
-        config.max_batch,
     );
     println!("ready (one comma-separated feature row per line; EOF to stop)");
     let (io_result, stats) = serve_scoped(&engine, &config, &Tracer::noop(), |client| {
@@ -775,9 +718,23 @@ fn serve(args: &Args) -> Result<(), String> {
 }
 
 fn loadgen(args: &Args) -> Result<(), String> {
+    let queue_depth = args.get_usize("queue-depth", 64)?;
+    if queue_depth == 0 {
+        return Err("--queue-depth must be at least 1".into());
+    }
+    let max_batch = args.get_usize("batch", 16)?;
+    if max_batch == 0 {
+        return Err("--batch must be at least 1".into());
+    }
+    let workers = args.get_usize("workers", 2)?;
+    if workers == 0 {
+        return Err("--workers must be at least 1".into());
+    }
     let serve = ServeConfig {
+        queue_depth,
+        max_batch,
+        workers,
         worker_delay: Duration::from_micros(args.get_u64("worker-delay-us", 0)?),
-        ..serve_config(args)?
     };
     let seed = args.get_u64("seed", 7)?;
     let clients = args.get_usize("clients", 4)?;
@@ -1041,21 +998,17 @@ mod tests {
             "{err}"
         );
 
+        // Stopping early is a shorter --episodes budget: search takes no
+        // --stop-after, with or without a checkpoint.
         let mut with_stop = base.to_vec();
         with_stop.extend(["--stop-after", "4"]);
         let err = run(&Args::parse_from(with_stop).expect("parse")).unwrap_err();
-        assert!(
-            err.contains("--stop-after") && err.contains("--checkpoint"),
-            "{err}"
-        );
+        assert!(err.contains("does not take --stop-after"), "{err}");
 
-        let mut bad_stop = base.to_vec();
-        bad_stop.extend(["--checkpoint", "c.json", "--stop-after", "soon"]);
-        let err = run(&Args::parse_from(bad_stop).expect("parse")).unwrap_err();
-        assert!(
-            err.contains("--stop-after") && err.contains("soon"),
-            "{err}"
-        );
+        let mut with_checkpoint = base.to_vec();
+        with_checkpoint.extend(["--checkpoint", "c.json", "--stop-after", "4"]);
+        let err = run(&Args::parse_from(with_checkpoint).expect("parse")).unwrap_err();
+        assert!(err.contains("does not take --stop-after"), "{err}");
     }
 
     #[test]

@@ -213,15 +213,23 @@ fn run_search(args: &[String]) -> Output {
     muffin(&args.iter().map(String::as_str).collect::<Vec<_>>())
 }
 
+/// `args` with its `--episodes` budget replaced by `episodes`: how a
+/// search stops early, to be resumed later at the full budget.
+fn stopped_at(mut args: Vec<String>, episodes: &str) -> Vec<String> {
+    let at = args.iter().position(|a| a == "--episodes").expect("budget") + 1;
+    args[at] = episodes.to_string();
+    args
+}
+
 #[test]
 fn stop_after_then_resume_reproduces_a_clean_run_byte_for_byte() {
     let (data, pool) = fixture();
     let clean_out = tmp("stop_clean.json");
-    let halted_out = tmp("stop_halted.json");
+    let stopped_out = tmp("stop_stopped.json");
     let resumed_out = tmp("stop_resumed.json");
     let ckpt = tmp("stop_ckpt.json");
     std::fs::remove_file(&ckpt).ok();
-    std::fs::remove_file(&halted_out).ok();
+    std::fs::remove_file(&stopped_out).ok();
 
     let clean = run_search(&search_cmd(&data, &pool, &clean_out, &["--workers", "1"]));
     assert!(
@@ -230,25 +238,23 @@ fn stop_after_then_resume_reproduces_a_clean_run_byte_for_byte() {
         String::from_utf8_lossy(&clean.stderr)
     );
 
-    // Halt at the first batch boundary at or past episode 2.
-    let halted = run_search(&search_cmd(
-        &data,
-        &pool,
-        &halted_out,
-        &["--workers", "2", "--checkpoint", &ckpt, "--stop-after", "2"],
+    // Stop at episode 2, a batch boundary, by running a 2-episode budget.
+    let stopped = run_search(&stopped_at(
+        search_cmd(
+            &data,
+            &pool,
+            &stopped_out,
+            &["--workers", "2", "--checkpoint", &ckpt],
+        ),
+        "2",
     ));
     assert!(
-        halted.status.success(),
-        "halted search failed: {}",
-        String::from_utf8_lossy(&halted.stderr)
+        stopped.status.success(),
+        "shortened search failed: {}",
+        String::from_utf8_lossy(&stopped.stderr)
     );
-    let stdout = String::from_utf8_lossy(&halted.stdout);
-    assert!(stdout.contains("halted"), "missing halt notice: {stdout}");
-    assert!(stdout.contains("--resume"), "missing resume hint: {stdout}");
-    assert!(
-        !std::path::Path::new(&halted_out).exists(),
-        "a halted run must not write its outcome file"
-    );
+    let stopped_outcome = muffin::SearchOutcome::load_json(&stopped_out).expect("outcome parses");
+    assert_eq!(stopped_outcome.history.len(), 2);
 
     // Resume on a different worker count: bytes must still match.
     let resumed = run_search(&search_cmd(
@@ -265,10 +271,30 @@ fn stop_after_then_resume_reproduces_a_clean_run_byte_for_byte() {
     assert_eq!(
         std::fs::read_to_string(&clean_out).expect("clean outcome"),
         std::fs::read_to_string(&resumed_out).expect("resumed outcome"),
-        "halt + resume diverged from the uninterrupted run"
+        "stop + resume diverged from the uninterrupted run"
     );
 
-    for f in [clean_out, resumed_out, ckpt] {
+    // A budget that ends mid-batch leaves a checkpoint only a run with
+    // that same budget can resume.
+    let mid_batch = run_search(&stopped_at(
+        search_cmd(&data, &pool, &stopped_out, &["--checkpoint", &ckpt]),
+        "3",
+    ));
+    assert!(mid_batch.status.success());
+    let refused = run_search(&search_cmd(
+        &data,
+        &pool,
+        &resumed_out,
+        &["--checkpoint", &ckpt, "--resume"],
+    ));
+    assert_eq!(refused.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(
+        stderr.contains("ends mid-batch at episode 3"),
+        "unhelpful mid-batch error: {stderr}"
+    );
+
+    for f in [clean_out, stopped_out, resumed_out, ckpt] {
         std::fs::remove_file(f).ok();
     }
 }
@@ -357,21 +383,19 @@ fn killing_a_checkpointed_search_mid_run_still_resumes_to_identical_bytes() {
 #[test]
 fn corrupt_or_mismatched_checkpoints_are_rejected_loudly() {
     let (data, pool) = fixture();
-    let halted_out = tmp("reject_halted.json");
+    let stopped_out = tmp("reject_stopped.json");
     let resumed_out = tmp("reject_resumed.json");
     let ckpt = tmp("reject_ckpt.json");
     std::fs::remove_file(&ckpt).ok();
 
-    let halted = run_search(&search_cmd(
-        &data,
-        &pool,
-        &halted_out,
-        &["--checkpoint", &ckpt, "--stop-after", "2"],
+    let stopped = run_search(&stopped_at(
+        search_cmd(&data, &pool, &stopped_out, &["--checkpoint", &ckpt]),
+        "2",
     ));
     assert!(
-        halted.status.success(),
-        "halted search failed: {}",
-        String::from_utf8_lossy(&halted.stderr)
+        stopped.status.success(),
+        "shortened search failed: {}",
+        String::from_utf8_lossy(&stopped.stderr)
     );
     let valid = std::fs::read_to_string(&ckpt).expect("checkpoint written");
 
@@ -407,7 +431,7 @@ fn corrupt_or_mismatched_checkpoints_are_rejected_loudly() {
         "unhelpful corruption error: {stderr}"
     );
 
-    for f in [halted_out, resumed_out, ckpt] {
+    for f in [stopped_out, resumed_out, ckpt] {
         std::fs::remove_file(f).ok();
     }
 }
@@ -482,18 +506,21 @@ fn pool_lifecycle_grows_rejects_stale_resume_and_guards_chosen_models() {
         std::fs::remove_file(f).ok();
     }
 
-    // Phase 1: search on the 2-model pool, halting at episode 4 with a
+    // Phase 1: search on the 2-model pool, stopping at episode 4 with a
     // checkpoint and a cross-run eval cache on disk.
-    let halted = run_search(&search_cmd(
-        &data,
-        &pool,
-        &out,
-        &["--checkpoint", &ckpt, "--eval-cache", &cache, "--stop-after", "4"],
+    let stopped = run_search(&stopped_at(
+        search_cmd(
+            &data,
+            &pool,
+            &out,
+            &["--checkpoint", &ckpt, "--eval-cache", &cache],
+        ),
+        "4",
     ));
     assert!(
-        halted.status.success(),
-        "halted search failed: {}",
-        String::from_utf8_lossy(&halted.stderr)
+        stopped.status.success(),
+        "shortened search failed: {}",
+        String::from_utf8_lossy(&stopped.stderr)
     );
 
     // Phase 2: grow the pool with two freshly trained models. Existing
@@ -919,7 +946,7 @@ fn serve_answers_stdin_requests_and_shuts_down_cleanly_on_eof() {
         "{good_row}\n1.0,2.0\nnot,numbers,at,all\n\n{nan_row}\n{inf_row}\n{huge_row}\n{good_row}\n"
     );
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_muffin"))
-        .args(["serve", "--seed", "9", "--workers", "2"])
+        .args(["serve", "--seed", "9"])
         .stdin(std::process::Stdio::piped())
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
@@ -1110,13 +1137,27 @@ fn serve_and_loadgen_reject_bad_flags_before_training_anything() {
         ["loadgen", "--batch", "0"],
         ["loadgen", "--clients", "0"],
         ["loadgen", "--requests", "0"],
-        ["serve", "--workers", "0"],
-        ["serve", "--queue-depth", "0"],
     ] {
         let out = muffin(&args);
         assert_eq!(out.status.code(), Some(1), "{args:?} must fail");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(args[1]), "{args:?}: {stderr}");
+    }
+    // `serve` answers one stdin line before it reads the next, so it has
+    // no queue, batch or worker count to set: each flag is refused by
+    // name, even with a valid value.
+    for args in [
+        ["serve", "--queue-depth", "64"],
+        ["serve", "--batch", "16"],
+        ["serve", "--workers", "2"],
+    ] {
+        let out = muffin(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("serve does not take {}", args[1])),
+            "{args:?}: {stderr}"
+        );
     }
 }
 
@@ -1467,4 +1508,56 @@ fn matrix_rejects_bad_grids_before_any_work() {
         !std::path::Path::new(&out_dir).exists(),
         "a rejected grid must not create --out-dir"
     );
+}
+
+#[test]
+fn a_repeated_flag_is_rejected_before_any_work() {
+    let out = tmp("repeated_flag.json");
+    std::fs::remove_file(&out).ok();
+    let result = muffin(&[
+        "generate",
+        "--samples",
+        "50",
+        "--samples",
+        "60",
+        "--out",
+        &out,
+    ]);
+    let stderr = String::from_utf8_lossy(&result.stderr);
+    assert_eq!(result.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("--samples") && stderr.contains("more than once"),
+        "the error must name the repeated flag: {stderr}"
+    );
+    assert!(
+        !std::path::Path::new(&out).exists(),
+        "a rejected command wrote its --out file"
+    );
+}
+
+#[test]
+fn load_errors_name_the_file() {
+    let (data, _) = fixture();
+    let missing = tmp("absent_artifact.json");
+    std::fs::remove_file(&missing).ok();
+    let malformed = tmp("malformed_artifact.json");
+    std::fs::write(&malformed, "{\n  \"history\": [\n").expect("write");
+    for file in [missing.as_str(), malformed.as_str()] {
+        for args in [
+            vec!["report", "--outcome", file],
+            vec!["trace", "summarize", "--trace", file],
+            vec!["evaluate", "--data", file, "--pool", file],
+            vec!["evaluate", "--data", &data, "--pool", file],
+            vec!["pool", "list", "--pool", file],
+        ] {
+            let result = muffin(&args);
+            let stderr = String::from_utf8_lossy(&result.stderr);
+            assert_eq!(result.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(stderr.contains(file), "{args:?} must name {file}: {stderr}");
+            if file == malformed {
+                assert!(stderr.contains("line 3"), "{args:?}: {stderr}");
+            }
+        }
+    }
+    std::fs::remove_file(malformed).ok();
 }

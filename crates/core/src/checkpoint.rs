@@ -490,45 +490,6 @@ pub struct PersistenceOptions {
     /// run and rewritten with the merged cache afterwards
     /// ([`EvalCacheFile::save_merged`]).
     pub eval_cache: Option<std::path::PathBuf>,
-    /// Stop at the first batch boundary ≥ this episode count, write a
-    /// checkpoint, and return [`MuffinError::Halted`]. Simulates a kill
-    /// deterministically; requires `checkpoint`.
-    pub halt_after: Option<u32>,
-}
-
-impl PersistenceOptions {
-    /// Options that checkpoint to `path` at every batch boundary.
-    pub fn checkpoint_to(path: impl Into<std::path::PathBuf>) -> Self {
-        Self {
-            checkpoint: Some(path.into()),
-            ..Self::default()
-        }
-    }
-
-    /// Sets the checkpoint spacing in episodes.
-    pub fn with_every(mut self, episodes: u32) -> Self {
-        self.checkpoint_every = episodes;
-        self
-    }
-
-    /// Enables resuming from the checkpoint file.
-    pub fn with_resume(mut self, resume: bool) -> Self {
-        self.resume = resume;
-        self
-    }
-
-    /// Sets the cross-run evaluation cache file.
-    pub fn with_eval_cache(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.eval_cache = Some(path.into());
-        self
-    }
-
-    /// Halts (with a checkpoint) at the first batch boundary ≥
-    /// `episodes`.
-    pub fn with_halt_after(mut self, episodes: u32) -> Self {
-        self.halt_after = Some(episodes);
-        self
-    }
 }
 
 /// Writes `contents` to a `.tmp` sibling of `path` and renames it into

@@ -299,13 +299,6 @@ pub struct SampledEpisode {
     caches: Vec<StepCache>,
 }
 
-impl SampledEpisode {
-    /// Total log-probability of the episode.
-    pub fn total_log_prob(&self) -> f32 {
-        self.log_probs.iter().sum()
-    }
-}
-
 #[derive(Debug, Clone)]
 struct StepCache {
     rnn: RnnCache,
@@ -555,29 +548,6 @@ impl RnnController {
         self.updates = state.updates;
         Ok(())
     }
-
-    /// Probability vector of step `t` under the current policy, for
-    /// inspection and tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is out of range or `prefix` is shorter than `t`.
-    pub fn step_probs(&self, t: usize, prefix: &[usize]) -> Vec<f32> {
-        assert!(t < self.heads.len(), "step out of range");
-        assert!(prefix.len() >= t, "prefix must cover steps before t");
-        let mut h = Matrix::zeros(1, self.config.hidden_dim);
-        let mut prev_token = self.space.max_choices();
-        for (step, _) in (0..=t).enumerate() {
-            let x = self.embed.forward(&self.one_hot_token(prev_token));
-            let (h_new, _) = self.cell.forward(&x, &h);
-            h = h_new;
-            if step == t {
-                return self.heads[t].forward(&h).softmax_rows().row(0).to_vec();
-            }
-            prev_token = prefix[step];
-        }
-        unreachable!("loop returns at step t");
-    }
 }
 
 impl Parameterized for RnnController {
@@ -593,6 +563,30 @@ impl Parameterized for RnnController {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RnnController {
+        /// Probability vector of step `t` under the current policy.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `t` is out of range or `prefix` is shorter than `t`.
+        fn step_probs(&self, t: usize, prefix: &[usize]) -> Vec<f32> {
+            assert!(t < self.heads.len(), "step out of range");
+            assert!(prefix.len() >= t, "prefix must cover steps before t");
+            let mut h = Matrix::zeros(1, self.config.hidden_dim);
+            let mut prev_token = self.space.max_choices();
+            for (step, _) in (0..=t).enumerate() {
+                let x = self.embed.forward(&self.one_hot_token(prev_token));
+                let (h_new, _) = self.cell.forward(&x, &h);
+                h = h_new;
+                if step == t {
+                    return self.heads[t].forward(&h).softmax_rows().row(0).to_vec();
+                }
+                prev_token = prefix[step];
+            }
+            unreachable!("loop returns at step t");
+        }
+    }
 
     fn space() -> SearchSpace {
         SearchSpace::paper_default(4)
@@ -643,7 +637,7 @@ mod tests {
         for (a, n) in e1.actions.iter().zip(space().step_sizes()) {
             assert!(*a < n);
         }
-        assert!(e1.total_log_prob() < 0.0);
+        assert!(e1.log_probs.iter().sum::<f32>() < 0.0);
     }
 
     #[test]

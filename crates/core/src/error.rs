@@ -28,13 +28,6 @@ pub enum MuffinError {
     /// corrupt JSON, an unsupported version, or a fingerprint that does
     /// not match the current run. The message says which.
     StaleArtifact(String),
-    /// The search stopped early at a batch boundary because
-    /// `halt_after` was reached; a checkpoint covering `episode` episodes
-    /// was written before returning.
-    Halted {
-        /// Number of completed episodes at the stop point.
-        episode: u32,
-    },
 }
 
 impl fmt::Display for MuffinError {
@@ -48,12 +41,6 @@ impl fmt::Display for MuffinError {
             MuffinError::UnknownAttribute(name) => write!(f, "unknown attribute: {name}"),
             MuffinError::Io(msg) => write!(f, "io error: {msg}"),
             MuffinError::StaleArtifact(msg) => write!(f, "stale artifact: {msg}"),
-            MuffinError::Halted { episode } => {
-                write!(
-                    f,
-                    "search halted after {episode} episode(s); checkpoint written"
-                )
-            }
         }
     }
 }

@@ -660,7 +660,11 @@ mod tests {
         let features = split.test.features();
         let serial = fusing.predict(&pool, features);
         for workers in [1usize, 2, 4, 32] {
-            let chunks = muffin_par::chunk_ranges(features.rows(), workers);
+            let size = features.rows().div_ceil(workers);
+            let chunks: Vec<std::ops::Range<usize>> = (0..features.rows())
+                .step_by(size)
+                .map(|start| start..(start + size).min(features.rows()))
+                .collect();
             let parallel: Vec<usize> = muffin_par::WorkerPool::new(workers)
                 .map(&chunks, |_, range| {
                     fusing.predict(&pool, &features.row_range(range.clone()))

@@ -73,19 +73,6 @@ impl PrivilegeMap {
         self.entries.is_empty()
     }
 
-    /// Indices of the samples of `dataset` that fall in *any* unprivileged
-    /// group of *any* targeted attribute — the support of the paper's
-    /// proxy dataset.
-    pub fn unprivileged_samples(&self, dataset: &Dataset) -> Vec<usize> {
-        (0..dataset.len())
-            .filter(|&i| {
-                self.entries.iter().any(|(a, groups)| {
-                    groups.contains(&dataset.groups(AttributeId::new(*a))[i])
-                })
-            })
-            .collect()
-    }
-
     /// Infers the map from pool behaviour: for each attribute in `attrs`, a
     /// group is unprivileged when its **pool-average** accuracy falls below
     /// the pool-average overall accuracy by more than `margin`.
@@ -167,19 +154,19 @@ mod tests {
         let mut map = PrivilegeMap::new();
         map.set(age, vec![4, 5]);
         map.set(site, vec![7]);
-        let samples = map.unprivileged_samples(&ds);
+        // The proxy dataset's support is the samples in any unprivileged
+        // group of any targeted attribute.
+        let proxy = crate::ProxyDataset::build(&ds, &map).expect("proxy");
+        let samples = proxy.indices();
         assert!(!samples.is_empty());
-        for &i in &samples {
-            let in_age = [4usize, 5].contains(&ds.group_of(age, i).index());
-            let in_site = ds.group_of(site, i).index() == 7;
+        for &i in samples {
+            let in_age = [4, 5].contains(&ds.groups(age)[i]);
+            let in_site = ds.groups(site)[i] == 7;
             assert!(in_age || in_site);
         }
         // And nothing outside the union was included.
         let count_manual = (0..ds.len())
-            .filter(|&i| {
-                [4usize, 5].contains(&ds.group_of(age, i).index())
-                    || ds.group_of(site, i).index() == 7
-            })
+            .filter(|&i| [4, 5].contains(&ds.groups(age)[i]) || ds.groups(site)[i] == 7)
             .count();
         assert_eq!(samples.len(), count_manual);
     }

@@ -1,5 +1,5 @@
 use crate::{BodyOutputCache, MuffinError, PrivilegeMap};
-use muffin_data::{AttributeId, Dataset};
+use muffin_data::Dataset;
 use muffin_models::ModelPool;
 
 /// The fairness proxy dataset (paper component ② and Algorithm 1).
@@ -185,21 +185,23 @@ impl ProxyDataset {
     pub fn group_weights(&self) -> &[(usize, u16, f32)] {
         &self.group_weights
     }
-
-    /// The weight of one group, if it was unprivileged.
-    pub fn group_weight(&self, attr: AttributeId, group: u16) -> Option<f32> {
-        self.group_weights
-            .iter()
-            .find(|&&(a, g, _)| a == attr.index() && g == group)
-            .map(|&(_, _, w)| w)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use muffin_data::{AttributeSchema, SensitiveAttribute};
+    use muffin_data::{AttributeId, AttributeSchema, SensitiveAttribute};
     use muffin_tensor::{Matrix, Rng64};
+
+    impl ProxyDataset {
+        /// The weight of one group, if it was unprivileged.
+        fn group_weight(&self, attr: AttributeId, group: u16) -> Option<f32> {
+            self.group_weights
+                .iter()
+                .find(|&&(a, g, _)| a == attr.index() && g == group)
+                .map(|&(_, _, w)| w)
+        }
+    }
 
     /// 8 samples, two attributes with two groups each.
     /// attr0 unprivileged group: 1 (samples 4..8)

@@ -40,17 +40,11 @@ pub struct SearchConfig {
     /// REINFORCE batch size `m` of Eq. 4: the controller accumulates this
     /// many episodes before each policy update.
     pub reinforce_batch: usize,
-    /// Explicit search space overriding the paper default built by
-    /// [`MuffinSearch::space`]. When set, its pool size must match the
-    /// model pool; `num_slots`/`required_models` are read from the space
-    /// itself. Mainly for tests that need a small, exactly-enumerable
-    /// space.
-    pub space: Option<SearchSpace>,
 }
 
 muffin_json::impl_json!(struct SearchConfig {
     episodes, num_slots, target_attributes, head, reward, reward_kind, controller,
-    privilege_margin, required_models, reinforce_batch, space,
+    privilege_margin, required_models, reinforce_batch,
 });
 
 impl SearchConfig {
@@ -68,7 +62,6 @@ impl SearchConfig {
             privilege_margin: 0.02,
             required_models: Vec::new(),
             reinforce_batch: 1,
-            space: None,
         }
     }
 
@@ -108,12 +101,6 @@ impl SearchConfig {
     /// Overrides the Eq. 4 REINFORCE batch size `m`.
     pub fn with_reinforce_batch(mut self, m: usize) -> Self {
         self.reinforce_batch = m;
-        self
-    }
-
-    /// Overrides the search space (see [`SearchConfig::space`]).
-    pub fn with_space(mut self, space: SearchSpace) -> Self {
-        self.space = Some(space);
         self
     }
 }
@@ -274,12 +261,14 @@ impl SearchOutcome {
     ///
     /// # Errors
     ///
-    /// Returns an error string if the file cannot be read or parsed, or if
-    /// its `best_by_reward` is not an index into its `history`.
+    /// Returns an error string naming the file if it cannot be read or
+    /// parsed, or if its `best_by_reward` is not an index into its
+    /// `history`.
     pub fn load_json(path: impl AsRef<std::path::Path>) -> Result<Self, String> {
         let path = path.as_ref();
-        let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-        let outcome: Self = muffin_json::from_str(&text).map_err(|e| e.to_string())?;
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+        let outcome: Self =
+            muffin_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))?;
         if outcome.best_by_reward >= outcome.history.len() {
             return Err(format!(
                 "{}: best_by_reward {} is not an index into its {}-episode history",
@@ -412,19 +401,9 @@ impl MuffinSearch {
                 pool.len()
             )));
         }
-        let space = match &config.space {
-            Some(space) if space.pool_size() != pool.len() => {
-                return Err(MuffinError::InvalidConfig(format!(
-                    "config.space is over a pool of {}, actual pool has {}",
-                    space.pool_size(),
-                    pool.len()
-                )))
-            }
-            Some(space) => space.clone(),
-            None => SearchSpace::paper_default(pool.len())
-                .with_slots(config.num_slots)?
-                .with_required_models(config.required_models.clone())?,
-        };
+        let space = SearchSpace::paper_default(pool.len())
+            .with_slots(config.num_slots)?
+            .with_required_models(config.required_models.clone())?;
         let attrs: Vec<AttributeId> = config
             .target_attributes
             .iter()
@@ -492,9 +471,8 @@ impl MuffinSearch {
     }
 
     /// The controller search space for this pool and configuration: the
-    /// explicit [`SearchConfig::space`] override when set, else the paper
-    /// default shaped by `num_slots`/`required_models`. Built and checked
-    /// by the constructor.
+    /// paper default shaped by `num_slots`/`required_models`. Built and
+    /// checked by the constructor.
     pub fn space(&self) -> SearchSpace {
         self.space.clone()
     }
@@ -686,11 +664,12 @@ impl MuffinSearch {
     /// * loads and rewrites a cross-run [`EvalCacheFile`] (`eval_cache`),
     ///   skipping head training for candidates already evaluated by an
     ///   earlier run with the same fingerprint — each skipped evaluation
-    ///   is counted on the `search.cache_hit_disk` tracer counter;
-    /// * halts gracefully at the first batch boundary at or past
-    ///   `halt_after`, writing a checkpoint and returning
-    ///   [`MuffinError::Halted`] (deterministic kill simulation for
-    ///   tests and operator drills).
+    ///   is counted on the `search.cache_hit_disk` tracer counter.
+    ///
+    /// To stop a run early at episode `k`, run it with an episode budget
+    /// of `k`, a multiple of the REINFORCE batch: its final checkpoint
+    /// resumes a run with the full budget to the same outcome as an
+    /// uninterrupted one.
     ///
     /// The run restores its loop state (fresh, or from the checkpoint and
     /// eval cache), then alternates one REINFORCE batch with a checkpoint
@@ -707,11 +686,10 @@ impl MuffinSearch {
     ///
     /// In addition to [`MuffinSearch::run`]'s errors:
     ///
-    /// * [`MuffinError::InvalidConfig`] if `resume` or `halt_after` is
-    ///   set without a `checkpoint` path;
+    /// * [`MuffinError::InvalidConfig`] if `resume` is set without a
+    ///   `checkpoint` path;
     /// * [`MuffinError::Io`] / [`MuffinError::StaleArtifact`] for
-    ///   unreadable, corrupt or mismatched persistence files;
-    /// * [`MuffinError::Halted`] when `halt_after` stops the run early.
+    ///   unreadable, corrupt or mismatched persistence files.
     pub fn run_persistent(
         &self,
         rng: &mut Rng64,
@@ -721,11 +699,6 @@ impl MuffinSearch {
         if opts.resume && opts.checkpoint.is_none() {
             return Err(MuffinError::InvalidConfig(
                 "resume requires a checkpoint path".into(),
-            ));
-        }
-        if opts.halt_after.is_some() && opts.checkpoint.is_none() {
-            return Err(MuffinError::InvalidConfig(
-                "halt_after requires a checkpoint path".into(),
             ));
         }
         // Serialising the pool and split for hashing is not free; skip it
@@ -742,18 +715,8 @@ impl MuffinSearch {
         let bodies = self.bodies(&self.split.val);
         while state.episode < self.config.episodes {
             self.step_batch(&mut state, rng, pool, &bodies)?;
-            let halting = opts
-                .halt_after
-                .is_some_and(|h| state.episode >= h && state.episode < self.config.episodes);
             if let (Some(path), Some(fp)) = (&opts.checkpoint, &fingerprint) {
-                self.checkpoint(&mut state, rng, opts, path, fp, halting)?;
-            }
-            if halting {
-                self.write_eval_cache(opts, fingerprint.as_ref(), &state)?;
-                run_span.finish();
-                return Err(MuffinError::Halted {
-                    episode: state.episode,
-                });
+                self.checkpoint(&mut state, rng, opts, path, fp)?;
             }
         }
         run_span.finish();
@@ -1037,8 +1000,7 @@ impl MuffinSearch {
     }
 
     /// Writes a [`SearchCheckpoint`] to `path` when one is due: every
-    /// `checkpoint_every` episodes, at the end of the run, and before a
-    /// halt.
+    /// `checkpoint_every` episodes and at the end of the run.
     ///
     /// The batch boundary is the only point the whole loop state is
     /// summarised by (rng, controller, history, cache) — the only point a
@@ -1050,11 +1012,9 @@ impl MuffinSearch {
         opts: &PersistenceOptions,
         path: &std::path::Path,
         fingerprint: &SearchFingerprint,
-        halting: bool,
     ) -> Result<(), MuffinError> {
         let due = state.episode - state.last_checkpoint >= opts.checkpoint_every
-            || state.episode == self.config.episodes
-            || halting;
+            || state.episode == self.config.episodes;
         if !due {
             return Ok(());
         }

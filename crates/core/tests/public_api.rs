@@ -86,6 +86,6 @@ fn default_configs_are_consistent() {
     assert_eq!(paper.num_slots, 2, "the paper's paired-model count");
     let persistence = PersistenceOptions::default();
     assert!(persistence.checkpoint.is_none() && persistence.eval_cache.is_none());
-    assert!(!persistence.resume && persistence.halt_after.is_none());
+    assert!(!persistence.resume);
     assert_eq!(CHECKPOINT_VERSION, 3, "bump only with a format change");
 }

@@ -107,19 +107,9 @@ impl SensitiveAttribute {
         self.groups.len()
     }
 
-    /// Names of all groups.
-    pub fn group_names(&self) -> impl Iterator<Item = &str> {
-        self.groups.iter().map(String::as_str)
-    }
-
     /// Name of one group, if in range.
     pub fn group_name(&self, group: GroupId) -> Option<&str> {
         self.groups.get(group.index()).map(String::as_str)
-    }
-
-    /// Looks up a group by name.
-    pub fn group_by_name(&self, name: &str) -> Option<GroupId> {
-        self.groups.iter().position(|g| g == name).map(|i| GroupId::new(i as u16))
     }
 }
 
@@ -188,20 +178,6 @@ impl AttributeSchema {
     pub fn pair_label(&self, a: AttributeId, b: AttributeId) -> String {
         format!("{}×{}", self.attributes[a.index()].name(), self.attributes[b.index()].name())
     }
-
-    /// Human name of one **row-major joint cell** of an attribute pair
-    /// (the indexing `joint_group_ids` produces), e.g. `old×female`.
-    ///
-    /// Returns `None` if an id or the cell index is out of range.
-    pub fn joint_cell_name(&self, a: AttributeId, b: AttributeId, cell: usize) -> Option<String> {
-        let (attr_a, attr_b) = (self.get(a)?, self.get(b)?);
-        if cell >= attr_a.num_groups() * attr_b.num_groups() {
-            return None;
-        }
-        let ga = GroupId::new((cell / attr_b.num_groups()) as u16);
-        let gb = GroupId::new((cell % attr_b.num_groups()) as u16);
-        Some(format!("{}×{}", attr_a.group_name(ga)?, attr_b.group_name(gb)?))
-    }
 }
 
 #[cfg(test)]
@@ -217,15 +193,16 @@ mod tests {
 
     #[test]
     fn group_lookup_round_trips() {
-        let attr = SensitiveAttribute::new("site", &["torso", "head", "oral"]);
-        let id = attr.group_by_name("head").expect("exists");
-        assert_eq!(attr.group_name(id), Some("head"));
+        let names = ["torso", "head", "oral"];
+        let attr = SensitiveAttribute::new("site", &names);
+        for (i, name) in names.into_iter().enumerate() {
+            assert_eq!(attr.group_name(GroupId::new(i as u16)), Some(name));
+        }
     }
 
     #[test]
     fn group_lookup_unknown_is_none() {
         let attr = SensitiveAttribute::new("site", &["torso"]);
-        assert!(attr.group_by_name("leg").is_none());
         assert!(attr.group_name(GroupId::new(5)).is_none());
     }
 
@@ -263,13 +240,9 @@ mod tests {
     }
 
     #[test]
-    fn joint_cell_names_decode_row_major() {
+    fn pair_label_joins_attribute_names() {
         let s = schema();
         let (age, gender) = (AttributeId::new(0), AttributeId::new(1));
         assert_eq!(s.pair_label(age, gender), "age×gender");
-        assert_eq!(s.joint_cell_name(age, gender, 0).as_deref(), Some("0-35×male"));
-        assert_eq!(s.joint_cell_name(age, gender, 5).as_deref(), Some("66+×female"));
-        assert!(s.joint_cell_name(age, gender, 6).is_none());
-        assert!(s.joint_cell_name(age, AttributeId::new(9), 0).is_none());
     }
 }

@@ -112,13 +112,13 @@ mod tests {
         let age = ds.schema().by_name("age").expect("age");
         let noisy = ds.with_group_label_noise(age, &[4, 5], 0.9, &mut Rng64::seed(10));
         for i in 0..ds.len() {
-            let in_target = [4usize, 5].contains(&ds.group_of(age, i).index());
+            let in_target = [4, 5].contains(&ds.groups(age)[i]);
             if !in_target {
                 assert_eq!(noisy.labels()[i], ds.labels()[i], "untargeted sample {i} changed");
             }
         }
         let flipped_in_target = (0..ds.len())
-            .filter(|&i| [4usize, 5].contains(&ds.group_of(age, i).index()))
+            .filter(|&i| [4, 5].contains(&ds.groups(age)[i]))
             .filter(|&i| noisy.labels()[i] != ds.labels()[i])
             .count();
         assert!(flipped_in_target > 0, "targeted noise must flip something");

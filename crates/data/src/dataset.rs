@@ -133,15 +133,6 @@ impl Dataset {
         &self.group_ids[attr.index()]
     }
 
-    /// Group of one sample under one attribute.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn group_of(&self, attr: AttributeId, sample: usize) -> GroupId {
-        GroupId::new(self.group_ids[attr.index()][sample])
-    }
-
     /// Indices of all samples in `group` of `attr`.
     ///
     /// # Panics
@@ -275,7 +266,7 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.labels(), &[0, 0]);
         assert_eq!(s.features().row(0), d.features().row(4));
-        assert_eq!(s.group_of(AttributeId::new(0), 0).index(), 0);
+        assert_eq!(s.groups(AttributeId::new(0))[0], 0);
     }
 
     #[test]

@@ -132,16 +132,6 @@ impl AttributeSpec {
         &self.planes
     }
 
-    /// Indices of groups designed to be disadvantaged.
-    pub fn designed_unprivileged(&self) -> Vec<u16> {
-        self.groups
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| g.is_disadvantaged())
-            .map(|(i, _)| i as u16)
-            .collect()
-    }
-
     fn to_schema_attribute(&self) -> SensitiveAttribute {
         let names: Vec<&str> = self.groups.iter().map(GroupSpec::name).collect();
         SensitiveAttribute::new(self.name.clone(), &names)
@@ -591,6 +581,18 @@ fn quantile_group(shares: &[f32], draw: f32) -> usize {
 mod tests {
     use super::*;
 
+    impl AttributeSpec {
+        /// Indices of groups designed to be disadvantaged.
+        pub(crate) fn designed_unprivileged(&self) -> Vec<u16> {
+            self.groups
+                .iter()
+                .enumerate()
+                .filter(|(_, g)| g.is_disadvantaged())
+                .map(|(i, _)| i as u16)
+                .collect()
+        }
+    }
+
     fn two_attr_config() -> GeneratorConfig {
         GeneratorConfig {
             num_samples: 2000,
@@ -651,11 +653,8 @@ mod tests {
         // With full correlation, every "oral" sample (top 30% latent) is
         // also "old" (top 40% latent).
         let oral: Vec<usize> = ds.group_indices(site, crate::GroupId::new(1));
-        let also_old = oral
-            .iter()
-            .filter(|&&i| ds.group_of(age, i).index() == 1)
-            .count() as f32
-            / oral.len() as f32;
+        let also_old =
+            oral.iter().filter(|&&i| ds.groups(age)[i] == 1).count() as f32 / oral.len() as f32;
         assert!(also_old > 0.95, "overlap {also_old}");
     }
 
@@ -668,11 +667,8 @@ mod tests {
         let age = ds.schema().by_name("age").expect("age");
         let site = ds.schema().by_name("site").expect("site");
         let oral: Vec<usize> = ds.group_indices(site, crate::GroupId::new(1));
-        let also_old = oral
-            .iter()
-            .filter(|&&i| ds.group_of(age, i).index() == 1)
-            .count() as f32
-            / oral.len() as f32;
+        let also_old =
+            oral.iter().filter(|&&i| ds.groups(age)[i] == 1).count() as f32 / oral.len() as f32;
         // Independent: P(old | oral) ≈ P(old) = 0.4.
         assert!((also_old - 0.4).abs() < 0.08, "overlap {also_old}");
     }
@@ -690,12 +686,12 @@ mod tests {
         let young: Vec<usize> = ds
             .group_indices(age, crate::GroupId::new(0))
             .into_iter()
-            .filter(|&i| ds.labels()[i] == 0 && ds.group_of(crate::AttributeId::new(1), i).index() == 0)
+            .filter(|&i| ds.labels()[i] == 0 && ds.groups(crate::AttributeId::new(1))[i] == 0)
             .collect();
         let old: Vec<usize> = ds
             .group_indices(age, crate::GroupId::new(1))
             .into_iter()
-            .filter(|&i| ds.labels()[i] == 0 && ds.group_of(crate::AttributeId::new(1), i).index() == 0)
+            .filter(|&i| ds.labels()[i] == 0 && ds.groups(crate::AttributeId::new(1))[i] == 0)
             .collect();
         if let (Some(&a), Some(&b)) = (young.first(), old.first()) {
             let fa = ds.features().row(a);
@@ -775,7 +771,7 @@ mod tests {
         let age = plain.schema().by_name("age").expect("age");
         let site = plain.schema().by_name("site").expect("site");
         for s in 0..plain.len() {
-            let in_cell = plain.group_of(age, s).index() == 1 && plain.group_of(site, s).index() == 1;
+            let in_cell = plain.groups(age)[s] == 1 && plain.groups(site)[s] == 1;
             let moved = plain
                 .features()
                 .row(s)

@@ -63,14 +63,19 @@ impl Dataset {
     /// # Errors
     ///
     /// Returns [`DatasetIoError::Io`] if the file cannot be read and
-    /// [`DatasetIoError::Parse`] if it is not a valid dataset. A broken
-    /// invariant is named with the file, the field and index (e.g.
-    /// `labels[5]`) and the bound it breaks.
+    /// [`DatasetIoError::Parse`] if it is not a valid dataset; both name
+    /// the file. A broken invariant is named with the file, the field and
+    /// index (e.g. `labels[5]`) and the bound it breaks.
     pub fn load_json(path: impl AsRef<Path>) -> Result<Dataset, DatasetIoError> {
         let path = path.as_ref();
-        let text = fs::read_to_string(path)?;
-        let dataset: Dataset =
-            muffin_json::from_str(&text).map_err(|e| DatasetIoError::Parse(e.to_string()))?;
+        let text = fs::read_to_string(path).map_err(|e| {
+            DatasetIoError::Io(std::io::Error::new(
+                e.kind(),
+                format!("{}: {e}", path.display()),
+            ))
+        })?;
+        let dataset: Dataset = muffin_json::from_str(&text)
+            .map_err(|e| DatasetIoError::Parse(format!("{}: {e}", path.display())))?;
         // Only outside input can carry a NaN or an infinity: the
         // generators never produce one.
         let non_finite = dataset

@@ -161,7 +161,7 @@ mod tests {
         let num_groups = s.train.schema().get(target).unwrap().num_groups();
         let mut counts = vec![0usize; num_groups];
         for &i in &indices {
-            counts[s.train.group_of(target, i).index()] += 1;
+            counts[usize::from(s.train.groups(target)[i])] += 1;
         }
         let max = *counts.iter().max().unwrap();
         for (g, &c) in counts.iter().enumerate() {

@@ -64,14 +64,20 @@ impl ModelPool {
     /// # Errors
     ///
     /// Returns [`PoolIoError::Io`] if the file cannot be read and
-    /// [`PoolIoError::Parse`] if it is not a valid pool. A broken model is
+    /// [`PoolIoError::Parse`] if it is not a valid pool; both name the
+    /// file. A broken model is
     /// named with the file, its index and name, and the field with its
     /// index (e.g. `mlp.layers[0].weight[3][5] = inf`).
     pub fn load_json(path: impl AsRef<Path>) -> Result<ModelPool, PoolIoError> {
         let path = path.as_ref();
-        let text = fs::read_to_string(path)?;
-        let pool: ModelPool =
-            muffin_json::from_str(&text).map_err(|e| PoolIoError::Parse(e.to_string()))?;
+        let text = fs::read_to_string(path).map_err(|e| {
+            PoolIoError::Io(std::io::Error::new(
+                e.kind(),
+                format!("{}: {e}", path.display()),
+            ))
+        })?;
+        let pool: ModelPool = muffin_json::from_str(&text)
+            .map_err(|e| PoolIoError::Parse(format!("{}: {e}", path.display())))?;
         for (i, model) in pool.iter().enumerate() {
             model.check_parameters().map_err(|msg| {
                 PoolIoError::Parse(format!(

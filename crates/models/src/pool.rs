@@ -1,7 +1,7 @@
 use crate::backbone::train_backbone;
 use crate::{Architecture, BackboneConfig, FrozenModel};
 use muffin_data::Dataset;
-use muffin_tensor::{Matrix, Rng64};
+use muffin_tensor::Rng64;
 
 /// The Muffin "model pool": a set of trained, frozen off-the-shelf models
 /// the controller selects the muffin body from.
@@ -148,15 +148,6 @@ impl ModelPool {
         }
         Ok(())
     }
-
-    /// Probability outputs of every pool member on `features`, in pool
-    /// order.
-    pub fn predict_proba_all(&self, features: &Matrix) -> Vec<Matrix> {
-        self.models
-            .iter()
-            .map(|m| m.predict_proba(features))
-            .collect()
-    }
 }
 
 impl FromIterator<FrozenModel> for ModelPool {
@@ -233,17 +224,6 @@ mod tests {
         // experiment binary. Only guard against a dramatic inversion here.
         assert!(big > small - 0.10, "ResNet-18 {big} vs ShuffleNet {small}");
         assert!(big > 0.3 && small > 0.3, "both models must beat chance");
-    }
-
-    #[test]
-    fn predict_proba_all_is_pool_ordered() {
-        let (pool, split) = small_pool();
-        let all = pool.predict_proba_all(split.test.features());
-        assert_eq!(all.len(), 2);
-        assert_eq!(
-            all[0],
-            pool.get(0).unwrap().predict_proba(split.test.features())
-        );
     }
 
     #[test]

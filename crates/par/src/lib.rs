@@ -44,37 +44,6 @@ pub fn available_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// Splits `len` items into at most `chunks` contiguous, balanced ranges.
-///
-/// Every range is non-empty and the ranges cover `0..len` in order; sizes
-/// differ by at most one, so workers finish at roughly the same time.
-///
-/// # Example
-///
-/// ```
-/// use muffin_par::chunk_ranges;
-///
-/// assert_eq!(chunk_ranges(5, 2), vec![0..3, 3..5]);
-/// assert_eq!(chunk_ranges(2, 8).len(), 2);
-/// assert!(chunk_ranges(0, 3).is_empty());
-/// ```
-pub fn chunk_ranges(len: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
-    if len == 0 || chunks == 0 {
-        return Vec::new();
-    }
-    let chunks = chunks.min(len);
-    let base = len / chunks;
-    let extra = len % chunks;
-    let mut out = Vec::with_capacity(chunks);
-    let mut start = 0;
-    for i in 0..chunks {
-        let size = base + usize::from(i < extra);
-        out.push(start..start + size);
-        start += size;
-    }
-    out
-}
-
 /// A fixed-width scoped thread pool.
 ///
 /// The pool holds no threads between calls: each [`WorkerPool::map`]
@@ -101,19 +70,9 @@ impl WorkerPool {
         Self::new(1)
     }
 
-    /// A pool sized to [`available_parallelism`].
-    pub fn auto() -> Self {
-        Self::new(available_parallelism())
-    }
-
     /// Configured worker count.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Whether `map` runs inline without spawning threads.
-    pub fn is_serial(&self) -> bool {
-        self.workers == 1
     }
 
     /// Applies `f` to every item, returning results in input order.
@@ -176,12 +135,6 @@ impl WorkerPool {
     }
 }
 
-impl Default for WorkerPool {
-    fn default() -> Self {
-        Self::auto()
-    }
-}
-
 #[derive(Debug)]
 struct QueueState<T> {
     items: VecDeque<T>,
@@ -233,21 +186,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Maximum number of queued items.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("queue poisoned").items.len()
-    }
-
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Attempts to enqueue `item` without blocking.
     ///
     /// # Errors
@@ -294,11 +232,6 @@ impl<T> BoundedQueue<T> {
         self.state.lock().expect("queue poisoned").closed = true;
         self.not_empty.notify_all();
     }
-
-    /// Whether [`BoundedQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("queue poisoned").closed
-    }
 }
 
 #[cfg(test)]
@@ -342,7 +275,6 @@ mod tests {
     fn zero_workers_clamps_to_serial() {
         let pool = WorkerPool::new(0);
         assert_eq!(pool.workers(), 1);
-        assert!(pool.is_serial());
         assert_eq!(pool.map(&[1, 2, 3], |_, &x: &i32| x), vec![1, 2, 3]);
     }
 
@@ -375,32 +307,27 @@ mod tests {
 
     #[test]
     fn auto_pool_has_at_least_one_worker() {
-        assert!(WorkerPool::auto().workers() >= 1);
         assert!(available_parallelism() >= 1);
+        assert!(WorkerPool::new(available_parallelism()).workers() >= 1);
     }
 
     #[test]
     fn bounded_queue_sheds_when_full_and_drains_after_close() {
         let q = BoundedQueue::new(2);
-        assert_eq!(q.capacity(), 2);
         assert!(q.try_push(1).is_ok());
         assert!(q.try_push(2).is_ok());
         assert_eq!(q.try_push(3), Err(3), "full queue must shed");
-        assert_eq!(q.len(), 2);
         q.close();
-        assert!(q.is_closed());
         assert_eq!(q.try_push(4), Err(4), "closed queue rejects pushes");
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.try_pop(), Some(2));
         assert_eq!(q.pop(), None, "closed and drained");
         assert_eq!(q.try_pop(), None);
-        assert!(q.is_empty());
     }
 
     #[test]
     fn bounded_queue_zero_capacity_clamps_to_one() {
         let q = BoundedQueue::new(0);
-        assert_eq!(q.capacity(), 1);
         assert!(q.try_push(7).is_ok());
         assert_eq!(q.try_push(8), Err(8));
     }
@@ -440,30 +367,5 @@ mod tests {
         q.close();
         let drained: Vec<i32> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(drained, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn chunk_ranges_cover_exactly() {
-        for len in [0usize, 1, 2, 5, 17, 100] {
-            for chunks in [1usize, 2, 3, 8, 200] {
-                let ranges = chunk_ranges(len, chunks);
-                let mut covered = 0;
-                for (i, r) in ranges.iter().enumerate() {
-                    assert_eq!(r.start, covered, "ranges must be contiguous");
-                    assert!(
-                        !r.is_empty(),
-                        "range {i} empty for len={len} chunks={chunks}"
-                    );
-                    covered = r.end;
-                }
-                assert_eq!(covered, len);
-                if len > 0 {
-                    assert!(ranges.len() <= chunks.min(len));
-                    let sizes: Vec<usize> = ranges.iter().map(|r| r.end - r.start).collect();
-                    let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-                    assert!(max - min <= 1, "unbalanced chunks: {sizes:?}");
-                }
-            }
-        }
     }
 }

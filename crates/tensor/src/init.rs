@@ -60,11 +60,6 @@ impl SplitMix64 {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
     }
-
-    /// Derives an independent [`Rng64`] from the next stream output.
-    pub fn fork_rng(&mut self) -> Rng64 {
-        Rng64::seed(self.next_u64())
-    }
 }
 
 impl Rng64 {
@@ -311,12 +306,11 @@ mod tests {
 
     #[test]
     fn splitmix_expansion_matches_rng_seed_state() {
-        // Rng64::seed is documented as SplitMix64 expansion of the seed;
-        // forked children must therefore agree with the standalone stream.
+        // Rng64::seed is documented as SplitMix64 expansion of the seed:
+        // its state is the standalone stream's first four outputs.
         let mut sm = SplitMix64::new(123);
-        let mut forked = sm.fork_rng();
-        let mut direct = Rng64::seed(SplitMix64::new(123).next_u64());
-        assert_eq!(forked.next_u64(), direct.next_u64());
+        let expected = [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()];
+        assert_eq!(Rng64::seed(123).state(), expected);
     }
 
     #[test]

@@ -174,18 +174,12 @@ pub enum EventData {
         /// Number of observations.
         count: u64,
     },
-    /// A free-form annotation.
-    Message {
-        /// The message text.
-        text: String,
-    },
 }
 
 muffin_json::impl_json!(tagged EventData {
     Span { fields },
     Counter { value },
     Histogram { count },
-    Message { text },
 });
 
 /// One entry of a trace event log.
@@ -280,10 +274,12 @@ impl TraceLog {
     ///
     /// # Errors
     ///
-    /// Returns an error string if the file cannot be read or parsed.
+    /// Returns an error string naming the file if it cannot be read or
+    /// parsed.
     pub fn load_json(path: impl AsRef<std::path::Path>) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-        muffin_json::from_str(&text).map_err(|e| e.to_string())
+        let path = path.as_ref();
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+        muffin_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 }
 
@@ -317,7 +313,7 @@ mod tests {
             seq: 0,
             name: "x".into(),
             depth: 1,
-            data: EventData::Message { text: "hi".into() },
+            data: EventData::Counter { value: 1 },
             timing: Timing {
                 start_us: 5,
                 duration_us: 9,

@@ -69,7 +69,7 @@ fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
 
 /// Renders `log` as a human-readable per-phase summary: one row per span
 /// or histogram name (count, total/mean/min/max milliseconds, sorted by
-/// total time descending), followed by the counters and any messages.
+/// total time descending), followed by the counters.
 ///
 /// # Example
 ///
@@ -87,7 +87,6 @@ fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
 pub fn summarize(log: &TraceLog) -> String {
     let mut phases: BTreeMap<&str, PhaseStats> = BTreeMap::new();
     let mut counters: Vec<(&str, u64)> = Vec::new();
-    let mut messages: Vec<(&str, &str)> = Vec::new();
     for event in &log.events {
         match &event.data {
             EventData::Span { .. } => {
@@ -105,7 +104,6 @@ pub fn summarize(log: &TraceLog) -> String {
                 stats.percentiles = Some((event.timing.p50_us, event.timing.p99_us));
             }
             EventData::Counter { value } => counters.push((&event.name, *value)),
-            EventData::Message { text } => messages.push((&event.name, text)),
         }
     }
 
@@ -152,12 +150,6 @@ pub fn summarize(log: &TraceLog) -> String {
         out.push('\n');
         out.push_str(&render_table(&["counter", "value"], &rows));
     }
-    if !messages.is_empty() {
-        out.push('\n');
-        for (name, text) in messages {
-            let _ = writeln!(out, "[{name}] {text}");
-        }
-    }
     out
 }
 
@@ -174,15 +166,13 @@ mod tests {
         tracer.record_span("a", Vec::new(), Duration::from_millis(1));
         tracer.record_span("b", Vec::new(), Duration::from_millis(10));
         tracer.count("hits", 2);
-        tracer.message("note", "something happened");
         let text = summarize(&tracer.finish());
         // b is heavier, so it ranks first.
         let a_pos = text.find("\na ").expect("a row");
         let b_pos = text.find("\nb ").expect("b row");
         assert!(b_pos < a_pos, "heaviest phase first:\n{text}");
         assert!(text.contains("hits"));
-        assert!(text.contains("[note] something happened"));
-        assert!(text.contains("5 events"));
+        assert!(text.contains("4 events"));
     }
 
     #[test]

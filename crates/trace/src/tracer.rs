@@ -294,24 +294,6 @@ impl Tracer {
         );
     }
 
-    /// Records a free-form `Message` event.
-    pub fn message(&self, name: impl Into<String>, text: impl Into<String>) {
-        let Some(shared) = &self.shared else { return };
-        let now_us = duration_us(shared.epoch.elapsed());
-        let mut state = shared.state.lock().expect("tracer poisoned");
-        let depth = state.depth;
-        push_event(
-            &mut state,
-            name.into(),
-            depth,
-            EventData::Message { text: text.into() },
-            Timing {
-                start_us: now_us,
-                ..Timing::zero()
-            },
-        );
-    }
-
     /// Adds `delta` to the named counter. Counters are aggregated and
     /// emitted as one `Counter` event each by [`Tracer::finish`].
     pub fn count(&self, name: &str, delta: u64) {
@@ -544,7 +526,6 @@ mod tests {
         }
         tracer.count("c", 5);
         tracer.observe("h", Duration::from_micros(10));
-        tracer.message("m", "hello");
         tracer.progress(|| panic!("progress closure must not run when quiet"));
         assert!(!tracer.is_enabled());
         assert!(!tracer.verbose());
@@ -710,7 +691,7 @@ mod tests {
     fn finish_drains_the_tracer() {
         let tracer = Tracer::capturing();
         tracer.count("c", 1);
-        tracer.message("m", "x");
+        tracer.observe("h", Duration::from_micros(1));
         assert_eq!(tracer.finish().events.len(), 2);
         assert_eq!(tracer.finish().events.len(), 0);
     }

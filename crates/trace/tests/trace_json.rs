@@ -55,14 +55,6 @@ fn sample_log() -> TraceLog {
                 p99_us: 600,
             },
         ),
-        event(
-            3,
-            "note",
-            EventData::Message {
-                text: "resumed".into(),
-            },
-            Timing::zero(),
-        ),
     ])
 }
 

@@ -3,13 +3,13 @@
 //! directory.
 
 use muffin::{
-    random_search, MuffinError, MuffinSearch, PersistenceOptions, SearchConfig, SearchOutcome,
-    Tracer, WorkerPool,
+    random_search, MuffinSearch, PersistenceOptions, SearchConfig, SearchOutcome, Tracer,
+    WorkerPool,
 };
 use muffin_data::{DatasetSplit, IsicLike};
 use muffin_models::{Architecture, BackboneConfig, ModelPool};
 use muffin_tensor::Rng64;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Builds a small, deterministic ISIC-like split plus a three-model pool —
 /// the shared fixture most integration tests start from.
@@ -37,9 +37,14 @@ pub const GOLDEN_SEED: u64 = 20230717;
 /// pool, two target attributes, 8 episodes with a REINFORCE batch of 3
 /// (so the snapshot also pins batched-update and partial-batch behaviour).
 pub fn golden_search() -> (MuffinSearch, Rng64) {
+    golden_search_over(8)
+}
+
+/// The golden recipe with an episode budget of `episodes` instead of 8.
+fn golden_search_over(episodes: u32) -> (MuffinSearch, Rng64) {
     let (split, pool, rng) = small_fixture(GOLDEN_SEED);
     let config = SearchConfig::fast(&["age", "site"])
-        .with_episodes(8)
+        .with_episodes(episodes)
         .with_reinforce_batch(3);
     let search = MuffinSearch::new(pool, split, config).expect("golden recipe is valid");
     (search, rng)
@@ -88,42 +93,53 @@ pub fn golden_trace_json(workers: &WorkerPool) -> String {
     muffin_json::to_string(&search.tracer().finish().stripped())
 }
 
-/// Runs the golden recipe **interrupted**: the first run halts (with a
-/// checkpoint) at the first batch boundary at or past `halt_after`, a
-/// second run resumes from that checkpoint, and the resumed outcome is
-/// serialised exactly as [`SearchOutcome::save_json`] would write it.
+/// Runs the golden recipe **interrupted**: a first run stops at episode
+/// `stop_at` (a multiple of the recipe's REINFORCE batch of 3) and leaves
+/// its final checkpoint, a second run resumes from that checkpoint at the
+/// full budget, and the resumed outcome is serialised exactly as
+/// [`SearchOutcome::save_json`] would write it.
 ///
 /// `tag` keeps concurrent tests' checkpoint files apart.
-pub fn golden_outcome_json_resumed(workers: &WorkerPool, halt_after: u32, tag: &str) -> String {
+pub fn golden_outcome_json_resumed(workers: &WorkerPool, stop_at: u32, tag: &str) -> String {
     let dir = std::env::temp_dir().join("muffin_golden_resume");
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let ckpt = dir.join(format!(
-        "ckpt_{tag}_{halt_after}_w{}.json",
-        workers.workers()
-    ));
+    let ckpt = dir.join(format!("ckpt_{tag}_{stop_at}_w{}.json", workers.workers()));
     std::fs::remove_file(&ckpt).ok();
 
-    let (search, rng) = golden_search();
-    let interrupted = search
-        .run_persistent(
-            &mut rng.clone(),
-            workers,
-            &PersistenceOptions::checkpoint_to(&ckpt).with_halt_after(halt_after),
-        )
-        .expect_err("halted run must not complete");
-    assert!(
-        matches!(interrupted, MuffinError::Halted { .. }),
-        "expected Halted, got {interrupted}"
-    );
+    let (search, rng) = golden_search_over(stop_at);
+    search
+        .run_persistent(&mut rng.clone(), workers, &checkpoint_to(&ckpt))
+        .expect("shortened golden search runs");
 
     let (search, rng) = golden_search();
     let outcome = search
-        .run_persistent(
-            &mut rng.clone(),
-            workers,
-            &PersistenceOptions::checkpoint_to(&ckpt).with_resume(true),
-        )
+        .run_persistent(&mut rng.clone(), workers, &resume_from(&ckpt))
         .expect("resumed golden search runs");
     std::fs::remove_file(&ckpt).ok();
     muffin_json::to_string(&outcome)
+}
+
+/// Persistence that checkpoints to `path` at every REINFORCE batch
+/// boundary.
+pub fn checkpoint_to(path: &Path) -> PersistenceOptions {
+    PersistenceOptions {
+        checkpoint: Some(path.to_path_buf()),
+        ..PersistenceOptions::default()
+    }
+}
+
+/// [`checkpoint_to`] `path`, resuming from the checkpoint already there.
+pub fn resume_from(path: &Path) -> PersistenceOptions {
+    PersistenceOptions {
+        resume: true,
+        ..checkpoint_to(path)
+    }
+}
+
+/// Persistence through the cross-run eval cache at `path` alone.
+pub fn eval_cache_at(path: &Path) -> PersistenceOptions {
+    PersistenceOptions {
+        eval_cache: Some(path.to_path_buf()),
+        ..PersistenceOptions::default()
+    }
 }

@@ -7,10 +7,10 @@
 //! rejected loudly instead of silently drifting the trajectory.
 
 use muffin::{
-    MuffinError, MuffinSearch, PersistenceOptions, SearchCheckpoint, SearchConfig, Tracer,
-    WorkerPool,
+    EvalCacheFile, MuffinError, MuffinSearch, PersistenceOptions, SearchCheckpoint, SearchConfig,
+    Tracer, WorkerPool,
 };
-use muffin_integration_tests::small_fixture;
+use muffin_integration_tests::{checkpoint_to, eval_cache_at, resume_from, small_fixture};
 use muffin_models::{Architecture, BackboneConfig, ModelPool};
 use muffin_tensor::Rng64;
 use std::path::PathBuf;
@@ -45,27 +45,22 @@ fn outcome_json(search: &MuffinSearch, rng: &Rng64, opts: &PersistenceOptions) -
 
 #[test]
 fn resume_after_halt_is_byte_identical_at_any_worker_count() {
+    // A run stopped at episode 4 (a batch boundary) by a 4-episode budget,
+    // resumed at the full budget of 7, whose last batch is partial.
     let (search, rng) = search_with(7, 2);
     let clean = outcome_json(&search, &rng, &PersistenceOptions::default());
+    let (short, _) = search_with(4, 2);
 
     for workers in [1usize, 4] {
         let ckpt = tmp(&format!("halt_resume_w{workers}.json"));
         let pool = WorkerPool::new(workers);
-        let halted = search
-            .run_persistent(
-                &mut rng.clone(),
-                &pool,
-                &PersistenceOptions::checkpoint_to(&ckpt).with_halt_after(4),
-            )
-            .expect_err("must halt");
-        assert_eq!(halted, MuffinError::Halted { episode: 4 });
+        let stopped = short
+            .run_persistent(&mut rng.clone(), &pool, &checkpoint_to(&ckpt))
+            .expect("the shorter run completes");
+        assert_eq!(stopped.history.len(), 4);
 
         let resumed = search
-            .run_persistent(
-                &mut rng.clone(),
-                &pool,
-                &PersistenceOptions::checkpoint_to(&ckpt).with_resume(true),
-            )
+            .run_persistent(&mut rng.clone(), &pool, &resume_from(&ckpt))
             .expect("resume runs");
         assert_eq!(
             muffin_json::to_string(&resumed),
@@ -80,11 +75,10 @@ fn resume_after_halt_is_byte_identical_at_any_worker_count() {
 fn resuming_a_finished_run_is_a_noop_with_identical_bytes() {
     let (search, rng) = search_with(5, 2);
     let ckpt = tmp("finished_noop.json");
-    let opts = PersistenceOptions::checkpoint_to(&ckpt);
-    let clean = outcome_json(&search, &rng, &opts);
+    let clean = outcome_json(&search, &rng, &checkpoint_to(&ckpt));
     // The final checkpoint (episode 5, a partial batch) is on disk; a
     // resume with the same budget replays history without any new work.
-    let resumed = outcome_json(&search, &rng, &opts.clone().with_resume(true));
+    let resumed = outcome_json(&search, &rng, &resume_from(&ckpt));
     assert_eq!(resumed, clean);
     std::fs::remove_file(ckpt).ok();
 }
@@ -95,7 +89,10 @@ fn checkpoint_every_spaces_writes_at_batch_boundaries() {
     let ckpt = tmp("spacing.json");
     // Boundaries are 3, 6, 9; a 4-episode spacing must skip episode 3,
     // write at 6, and always write the final snapshot at 9.
-    let opts = PersistenceOptions::checkpoint_to(&ckpt).with_every(4);
+    let opts = PersistenceOptions {
+        checkpoint_every: 4,
+        ..checkpoint_to(&ckpt)
+    };
     let tracer = Tracer::capturing();
     let (split, pool) = (search.split().clone(), search.pool().clone());
     let search = MuffinSearch::new(pool, split, search.config().clone())
@@ -117,7 +114,7 @@ fn checkpoint_every_spaces_writes_at_batch_boundaries() {
 fn warm_eval_cache_reports_disk_hits_and_leaves_outcome_unchanged() {
     let (search, rng) = search_with(6, 2);
     let cache = tmp("eval_cache_warm.json");
-    let opts = PersistenceOptions::default().with_eval_cache(&cache);
+    let opts = eval_cache_at(&cache);
 
     // Cold run: no disk hits, cache file written at the end.
     let cold_tracer = Tracer::capturing();
@@ -153,7 +150,7 @@ fn eval_cache_from_a_shorter_run_accelerates_a_longer_one() {
     // must serve the first batches of an 8-episode run bit-identically.
     let (short, rng) = search_with(4, 2);
     let cache = tmp("eval_cache_extend.json");
-    let opts = PersistenceOptions::default().with_eval_cache(&cache);
+    let opts = eval_cache_at(&cache);
     short
         .run_persistent(&mut rng.clone(), &WorkerPool::serial(), &opts)
         .expect("short run");
@@ -182,7 +179,10 @@ fn mismatched_fingerprints_are_rejected_loudly() {
         .run_persistent(
             &mut rng.clone(),
             &WorkerPool::serial(),
-            &PersistenceOptions::checkpoint_to(&ckpt).with_eval_cache(&cache),
+            &PersistenceOptions {
+                eval_cache: Some(cache.clone()),
+                ..checkpoint_to(&ckpt)
+            },
         )
         .expect("seed run");
 
@@ -191,7 +191,7 @@ fn mismatched_fingerprints_are_rejected_loudly() {
         .run_persistent(
             &mut Rng64::seed(SEED ^ 1),
             &WorkerPool::serial(),
-            &PersistenceOptions::checkpoint_to(&ckpt).with_resume(true),
+            &resume_from(&ckpt),
         )
         .expect_err("wrong seed must be rejected");
     assert!(
@@ -205,7 +205,7 @@ fn mismatched_fingerprints_are_rejected_loudly() {
         .run_persistent(
             &mut other_rng.clone(),
             &WorkerPool::serial(),
-            &PersistenceOptions::checkpoint_to(&ckpt).with_resume(true),
+            &resume_from(&ckpt),
         )
         .expect_err("different batch must be rejected");
     assert!(
@@ -230,7 +230,7 @@ fn mismatched_fingerprints_are_rejected_loudly() {
         .run_persistent(
             &mut grown_rng.clone(),
             &WorkerPool::serial(),
-            &PersistenceOptions::checkpoint_to(&ckpt).with_resume(true),
+            &resume_from(&ckpt),
         )
         .expect_err("grown pool must be rejected");
     assert!(
@@ -247,7 +247,7 @@ fn mismatched_fingerprints_are_rejected_loudly() {
         .run_persistent(
             &mut grown_rng.clone(),
             &WorkerPool::serial(),
-            &PersistenceOptions::default().with_eval_cache(&cache),
+            &eval_cache_at(&cache),
         )
         .expect_err("a cache written before growth must be rejected");
     assert!(
@@ -263,7 +263,7 @@ fn mismatched_fingerprints_are_rejected_loudly() {
         .run_persistent(
             &mut rng.clone(),
             &WorkerPool::serial(),
-            &PersistenceOptions::default().with_eval_cache(&ckpt),
+            &eval_cache_at(&ckpt),
         )
         .expect_err("checkpoint is not an eval cache");
     assert!(
@@ -282,7 +282,7 @@ fn corrupt_and_truncated_checkpoints_are_rejected() {
         .run_persistent(
             &mut rng.clone(),
             &WorkerPool::serial(),
-            &PersistenceOptions::checkpoint_to(&ckpt),
+            &checkpoint_to(&ckpt),
         )
         .expect("seed run");
 
@@ -291,11 +291,7 @@ fn corrupt_and_truncated_checkpoints_are_rejected() {
     let full = std::fs::read_to_string(&ckpt).expect("read");
     std::fs::write(&ckpt, &full[..full.len() / 2]).expect("truncate");
     let err = search
-        .run_persistent(
-            &mut rng.clone(),
-            &WorkerPool::serial(),
-            &PersistenceOptions::checkpoint_to(&ckpt).with_resume(true),
-        )
+        .run_persistent(&mut rng.clone(), &WorkerPool::serial(), &resume_from(&ckpt))
         .expect_err("truncated checkpoint must be rejected");
     assert!(
         matches!(&err, MuffinError::StaleArtifact(msg) if msg.contains("corrupt")),
@@ -305,21 +301,13 @@ fn corrupt_and_truncated_checkpoints_are_rejected() {
     // Garbage bytes.
     std::fs::write(&ckpt, "not json at all").expect("write");
     assert!(search
-        .run_persistent(
-            &mut rng.clone(),
-            &WorkerPool::serial(),
-            &PersistenceOptions::checkpoint_to(&ckpt).with_resume(true),
-        )
+        .run_persistent(&mut rng.clone(), &WorkerPool::serial(), &resume_from(&ckpt),)
         .is_err());
 
     // Missing file.
     std::fs::remove_file(&ckpt).ok();
     let err = search
-        .run_persistent(
-            &mut rng.clone(),
-            &WorkerPool::serial(),
-            &PersistenceOptions::checkpoint_to(&ckpt).with_resume(true),
-        )
+        .run_persistent(&mut rng.clone(), &WorkerPool::serial(), &resume_from(&ckpt))
         .expect_err("missing checkpoint must be rejected");
     assert!(matches!(err, MuffinError::Io(_)), "unexpected error: {err}");
 }
@@ -335,17 +323,13 @@ fn mid_batch_checkpoint_cannot_seed_a_longer_run() {
         .run_persistent(
             &mut rng.clone(),
             &WorkerPool::serial(),
-            &PersistenceOptions::checkpoint_to(&ckpt),
+            &checkpoint_to(&ckpt),
         )
         .expect("short run");
 
     let (long, _) = search_with(8, 2);
     let err = long
-        .run_persistent(
-            &mut rng.clone(),
-            &WorkerPool::serial(),
-            &PersistenceOptions::checkpoint_to(&ckpt).with_resume(true),
-        )
+        .run_persistent(&mut rng.clone(), &WorkerPool::serial(), &resume_from(&ckpt))
         .expect_err("mid-batch extension must be rejected");
     assert!(
         matches!(&err, MuffinError::StaleArtifact(msg) if msg.contains("mid-batch")),
@@ -365,18 +349,14 @@ fn boundary_checkpoint_can_seed_a_longer_run() {
         .run_persistent(
             &mut rng.clone(),
             &WorkerPool::serial(),
-            &PersistenceOptions::checkpoint_to(&ckpt),
+            &checkpoint_to(&ckpt),
         )
         .expect("short run");
 
     let (long, _) = search_with(8, 2);
     let clean = outcome_json(&long, &rng, &PersistenceOptions::default());
     let extended = long
-        .run_persistent(
-            &mut rng.clone(),
-            &WorkerPool::serial(),
-            &PersistenceOptions::checkpoint_to(&ckpt).with_resume(true),
-        )
+        .run_persistent(&mut rng.clone(), &WorkerPool::serial(), &resume_from(&ckpt))
         .expect("extension runs");
     assert_eq!(muffin_json::to_string(&extended), clean);
     std::fs::remove_file(ckpt).ok();
@@ -389,17 +369,12 @@ fn persistence_options_validate_their_dependencies() {
         .run_persistent(
             &mut rng.clone(),
             &WorkerPool::serial(),
-            &PersistenceOptions::default().with_resume(true),
+            &PersistenceOptions {
+                resume: true,
+                ..PersistenceOptions::default()
+            },
         )
         .expect_err("resume without checkpoint");
-    assert!(matches!(err, MuffinError::InvalidConfig(_)));
-    let err = search
-        .run_persistent(
-            &mut rng.clone(),
-            &WorkerPool::serial(),
-            &PersistenceOptions::default().with_halt_after(2),
-        )
-        .expect_err("halt without checkpoint");
     assert!(matches!(err, MuffinError::InvalidConfig(_)));
 }
 
@@ -411,7 +386,7 @@ fn checkpoint_file_parses_as_the_documented_schema() {
         .run_persistent(
             &mut rng.clone(),
             &WorkerPool::serial(),
-            &PersistenceOptions::checkpoint_to(&ckpt),
+            &checkpoint_to(&ckpt),
         )
         .expect("run");
     let text = std::fs::read_to_string(&ckpt).expect("read");
@@ -426,4 +401,49 @@ fn checkpoint_file_parses_as_the_documented_schema() {
         .windows(2)
         .all(|w| w[0].actions <= w[1].actions));
     std::fs::remove_file(ckpt).ok();
+}
+
+#[test]
+fn files_whose_config_holds_a_null_space_still_load() {
+    // Checkpoints and eval caches written before `SearchConfig::space` was
+    // removed carry `"space":null` as the last key of `fingerprint.config`.
+    // Loading skips the key, and the fingerprint compares the config as
+    // re-serialised, so such files resume and warm a search unchanged.
+    let (short, rng) = search_with(4, 2);
+    let ckpt = tmp("null_space.json");
+    let cache = tmp("null_space_cache.json");
+    let both = |resume| PersistenceOptions {
+        resume,
+        eval_cache: Some(cache.clone()),
+        ..checkpoint_to(&ckpt)
+    };
+    short
+        .run_persistent(&mut rng.clone(), &WorkerPool::serial(), &both(false))
+        .expect("short run");
+    let written: EvalCacheFile =
+        muffin_json::from_str(&std::fs::read_to_string(&cache).expect("read")).expect("parse");
+    for path in [&ckpt, &cache] {
+        let text = std::fs::read_to_string(path).expect("read");
+        let config_end = "\"reinforce_batch\":2}";
+        assert_eq!(text.matches(config_end).count(), 1, "{}", path.display());
+        let older = text.replace(config_end, "\"reinforce_batch\":2,\"space\":null}");
+        std::fs::write(path, older).expect("write");
+    }
+
+    let loaded = EvalCacheFile::load(&cache, &written.fingerprint)
+        .expect("the older cache loads")
+        .expect("present");
+    assert_eq!(
+        muffin_json::to_string(&loaded.records),
+        muffin_json::to_string(&written.records)
+    );
+
+    let (long, _) = search_with(8, 2);
+    let clean = outcome_json(&long, &rng, &PersistenceOptions::default());
+    let resumed = long
+        .run_persistent(&mut rng.clone(), &WorkerPool::serial(), &both(true))
+        .expect("the older checkpoint resumes");
+    assert_eq!(muffin_json::to_string(&resumed), clean);
+    std::fs::remove_file(ckpt).ok();
+    std::fs::remove_file(cache).ok();
 }

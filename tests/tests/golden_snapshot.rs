@@ -70,10 +70,10 @@ fn four_worker_search_reproduces_the_committed_snapshot() {
 }
 
 // The golden recipe runs 8 episodes with a REINFORCE batch of 3, so the
-// interruptible batch boundaries are episodes 3 and 6. Killing at either
-// and resuming must reproduce the committed snapshot byte for byte — the
-// checkpoint/resume path may not perturb the trajectory at any worker
-// count.
+// interruptible batch boundaries are episodes 3 and 6. Stopping at either
+// (a 3- or 6-episode budget) and resuming at the full budget must
+// reproduce the committed snapshot byte for byte — the checkpoint/resume
+// path may not perturb the trajectory at any worker count.
 
 #[test]
 fn kill_at_first_boundary_and_resume_reproduces_the_snapshot() {
