@@ -15,7 +15,8 @@ muffin — multi-dimension AI fairness by uniting off-the-shelf models
 
 USAGE:
   muffin <COMMAND> [--key value]...
-  A flag the command does not take is rejected before any file is read.
+  A flag the command does not take is rejected before any file is read,
+  and every output path is checked before any training or search.
 
 COMMANDS:
   generate    Generate a synthetic dataset
@@ -37,9 +38,8 @@ COMMANDS:
               --epochs N (default 60)     --seed S (default 7)
               --split-seed S (default 7)
               Appending keeps every existing model at its index. A
-              checkpoint or eval cache of the old pool is rejected,
-              naming the added models: start a new search with a fresh
-              --eval-cache path (see docs/OPERATIONS.md §11).
+              checkpoint of the old pool is rejected, naming the added
+              models: start a new search (see docs/OPERATIONS.md §11).
   pool remove Remove one model from a pool, by name or 16-hex content id
               --pool FILE  --model NAME|ID (required)
               --outcome FILE (optional: refuse to remove a model that the
@@ -71,21 +71,18 @@ COMMANDS:
               --checkpoint FILE (optional: write a resumable snapshot of
                 the run — RNG position, controller state, history and
                 the evaluation cache — atomically at REINFORCE batch
-                boundaries)
+                boundaries; pass it on any run you may extend)
               --checkpoint-every N (default 10, needs --checkpoint:
                 minimum episodes between checkpoint writes; snapshots
                 land on the next batch boundary, and the final state is
                 always written)
               --resume (continue from --checkpoint instead of starting
                 fresh; the resumed outcome is byte-identical to an
-                uninterrupted run. The checkpoint must match the run's
-                seed, config, pool and data, or it is rejected; after
-                `pool add` the rejection names each added model)
-              --eval-cache FILE (optional: cross-run evaluation cache —
-                candidates already trained by an earlier run with the
-                same seed/config/pool/data are reused, counted on the
-                search.cache_hit_disk trace counter; the file is
-                rewritten with the merged cache afterwards)
+                uninterrupted run, at the same or a larger --episodes
+                budget, and no candidate in the checkpoint is trained
+                again. The checkpoint must match the run's seed, config,
+                pool and data, or it is rejected; after `pool add` the
+                rejection names each added model)
               --verbose (print progress lines to stderr; without it the
                 run is silent apart from the result)
   matrix      Benchmark grid: one Muffin search per scenario × reward cell
@@ -106,8 +103,6 @@ COMMANDS:
                 concurrently — the report bytes are identical for every N)
               --out-dir DIR (default results/matrix: writes matrix.json
                 and a rendered matrix.md)
-              --cache-dir DIR (optional: one persistent eval cache per
-                cell, reused by later runs of the same grid)
               --bench-out FILE (optional: per-cell wall-clock timings as
                 a bench-suite JSON for scripts/bench-compare.sh; timings
                 never enter matrix.json/matrix.md)
@@ -179,7 +174,6 @@ const COMMANDS: &[(&str, &[&str], Handler)] = &[
             "checkpoint",
             "checkpoint-every",
             "resume",
-            "eval-cache",
             "distill-out",
             "student-hidden",
         ],
@@ -198,7 +192,6 @@ const COMMANDS: &[(&str, &[&str], Handler)] = &[
             "seed",
             "workers",
             "out-dir",
-            "cache-dir",
             "bench-out",
             "verbose",
             "archs",
@@ -251,6 +244,28 @@ fn help(_: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Fails, naming the flag and the path, unless every given output path
+/// can be written: commands call it once their arguments are valid and
+/// before any training or search. It truncates nothing and leaves no file
+/// behind: an existing file is only opened for appending, and a missing
+/// one is created and removed again.
+pub(crate) fn check_outputs(outputs: &[(&str, Option<&str>)]) -> Result<(), String> {
+    use std::fs::OpenOptions;
+    for &(flag, path) in outputs {
+        let Some(path) = path else { continue };
+        let probe = match OpenOptions::new().append(true).open(path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => OpenOptions::new()
+                .write(true)
+                .create_new(true)
+                .open(path)
+                .and_then(|_| std::fs::remove_file(path)),
+            opened => opened.map(drop),
+        };
+        probe.map_err(|e| format!("cannot write {flag} {path}: {e}"))?;
+    }
+    Ok(())
+}
+
 fn generate(args: &Args) -> Result<(), String> {
     let out = args.require("out")?;
     let samples = args.get_usize("samples", 8_000)?;
@@ -258,17 +273,20 @@ fn generate(args: &Args) -> Result<(), String> {
         return Err("--samples must be at least 1".into());
     }
     let seed = args.get_u64("seed", 7)?;
+    let name = args.get("dataset").unwrap_or("isic");
+    if !["isic", "fitzpatrick"].contains(&name) {
+        return Err(format!(
+            "unknown dataset: {name} (expected isic|fitzpatrick)"
+        ));
+    }
+    check_outputs(&[("--out", Some(out))])?;
     let mut rng = Rng64::seed(seed);
-    let dataset = match args.get("dataset").unwrap_or("isic") {
-        "isic" => IsicLike::new().with_num_samples(samples).generate(&mut rng),
-        "fitzpatrick" => FitzpatrickLike::new()
+    let dataset = if name == "isic" {
+        IsicLike::new().with_num_samples(samples).generate(&mut rng)
+    } else {
+        FitzpatrickLike::new()
             .with_num_samples(samples)
-            .generate(&mut rng),
-        other => {
-            return Err(format!(
-                "unknown dataset: {other} (expected isic|fitzpatrick)"
-            ))
-        }
+            .generate(&mut rng)
     };
     dataset.save_json(out).map_err(|e| e.to_string())?;
     println!(
@@ -290,7 +308,6 @@ fn load_split(args: &Args) -> Result<(Dataset, muffin_data::DatasetSplit), Strin
 
 fn train_pool(args: &Args) -> Result<(), String> {
     let out = args.require("out")?;
-    let (_, split) = load_split(args)?;
     let epochs = args.get_u32("epochs", 60)?;
     let seed = args.get_u64("seed", 7)?;
 
@@ -305,6 +322,8 @@ fn train_pool(args: &Args) -> Result<(), String> {
             })
             .collect::<Result<_, _>>()?
     };
+    check_outputs(&[("--out", Some(out))])?;
+    let (_, split) = load_split(args)?;
 
     let config = BackboneConfig::default().with_epochs(epochs);
     let mut rng = Rng64::seed(seed);
@@ -427,6 +446,7 @@ fn pool_add(args: &Args) -> Result<(), String> {
     check_pool_fits(&pool, &path, &dataset, args)?;
     let epochs = args.get_u32("epochs", 60)?;
     let seed = args.get_u64("seed", 7)?;
+    check_outputs(&[("--pool", Some(path.as_str()))])?;
     let config = BackboneConfig::default().with_epochs(epochs);
     let mut rng = Rng64::seed(seed);
     let trained = ModelPool::train(&split.train, &architectures, &config, &mut rng);
@@ -438,8 +458,8 @@ fn pool_add(args: &Args) -> Result<(), String> {
         println!("  {identity}");
     }
     println!(
-        "existing models kept their indices; checkpoints and eval caches of the old \
-         pool are rejected: start a new `muffin search` with a fresh --eval-cache path"
+        "existing models kept their indices; checkpoints of the old pool are rejected: \
+         start a new `muffin search`"
     );
     Ok(())
 }
@@ -458,6 +478,7 @@ fn pool_remove(args: &Args) -> Result<(), String> {
             ));
         }
     }
+    check_outputs(&[("--pool", Some(path.as_str()))])?;
     let remaining: ModelPool = pool
         .iter()
         .enumerate()
@@ -479,6 +500,10 @@ fn pool_remove(args: &Args) -> Result<(), String> {
 fn pool_gc(args: &Args) -> Result<(), String> {
     let (pool, path) = load_pool(args)?;
     let outcome = SearchOutcome::load_json(args.require("outcome")?)?;
+    let dry_run = args.get_flag("dry-run");
+    if !dry_run {
+        check_outputs(&[("--pool", Some(path.as_str()))])?;
+    }
     let best = outcome.best();
     let garbage: Vec<ModelIdentity> = pool
         .iter()
@@ -489,11 +514,7 @@ fn pool_gc(args: &Args) -> Result<(), String> {
         println!("nothing to collect: the best candidate unites every pool model");
         return Ok(());
     }
-    let verb = if args.get_flag("dry-run") {
-        "would remove"
-    } else {
-        "removing"
-    };
+    let verb = if dry_run { "would remove" } else { "removing" };
     println!(
         "{verb} {} model(s) not united by the best candidate ({}):",
         garbage.len(),
@@ -502,7 +523,7 @@ fn pool_gc(args: &Args) -> Result<(), String> {
     for identity in &garbage {
         println!("  {identity}");
     }
-    if args.get_flag("dry-run") {
+    if dry_run {
         return Ok(());
     }
     let kept: ModelPool = pool
@@ -550,42 +571,26 @@ fn search(args: &Args) -> Result<(), String> {
             .ok_or_else(|| format!("--student-hidden expects positive widths, got {v}"))?;
     }
     let trace_out = args.get("trace-out");
-    if let Some(path) = trace_out {
-        // Fail before the (long) search if the log can't be written.
-        std::fs::write(path, "").map_err(|e| format!("cannot write --trace-out {path}: {e}"))?;
-    }
-
-    let checkpoint = args.get("checkpoint").map(std::path::PathBuf::from);
+    let checkpoint = args.get("checkpoint");
     let checkpoint_every = args.get_u32("checkpoint-every", 10)?;
     let resume = args.get_flag("resume");
-    let eval_cache = args.get("eval-cache").map(std::path::PathBuf::from);
     if resume && checkpoint.is_none() {
         return Err("--resume requires --checkpoint".into());
     }
     if args.get("checkpoint-every").is_some() && checkpoint.is_none() {
         return Err("--checkpoint-every requires --checkpoint".into());
     }
-    if resume {
-        let path = checkpoint.as_ref().expect("validated above");
-        if !path.exists() {
-            return Err(format!(
-                "cannot resume: checkpoint {} does not exist",
-                path.display()
-            ));
+    if let (true, Some(path)) = (resume, checkpoint) {
+        if !std::path::Path::new(path).exists() {
+            return Err(format!("cannot resume: checkpoint {path} does not exist"));
         }
     }
-    // Fail fast on unwritable persistence paths — with a NON-truncating
-    // open: unlike the fresh --trace-out log, an existing checkpoint or
-    // warm eval cache is exactly the state we must not destroy.
-    for (flag, path) in [("--checkpoint", &checkpoint), ("--eval-cache", &eval_cache)] {
-        if let Some(path) = path {
-            std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .map_err(|e| format!("cannot write {flag} {}: {e}", path.display()))?;
-        }
-    }
+    check_outputs(&[
+        ("--out", Some(out)),
+        ("--trace-out", trace_out),
+        ("--checkpoint", checkpoint),
+        ("--distill-out", distill_out),
+    ])?;
 
     let tracer = if trace_out.is_some() {
         Tracer::capturing()
@@ -614,10 +619,9 @@ fn search(args: &Args) -> Result<(), String> {
         )
     });
     let persistence = PersistenceOptions {
-        checkpoint,
+        checkpoint: checkpoint.map(std::path::PathBuf::from),
         checkpoint_every,
         resume,
-        eval_cache,
     };
     let outcome = search
         .run_persistent(
@@ -644,7 +648,8 @@ fn search(args: &Args) -> Result<(), String> {
         )
         .map_err(|e| e.to_string())?;
         let json = muffin_json::to_string(distilled.student());
-        std::fs::write(student_path, json).map_err(|e| e.to_string())?;
+        std::fs::write(student_path, json)
+            .map_err(|e| format!("cannot write --distill-out {student_path}: {e}"))?;
         println!(
             "distilled student ({} params, {:.0}x smaller) written to {student_path}",
             distilled.student_params(),
@@ -747,12 +752,7 @@ fn loadgen(args: &Args) -> Result<(), String> {
     }
     let out = args.get("out");
     let trace_out = args.get("trace-out");
-    // Fail before the run if an archive path can't be written.
-    for (flag, path) in [("--out", out), ("--trace-out", trace_out)] {
-        if let Some(path) = path {
-            std::fs::write(path, "").map_err(|e| format!("cannot write {flag} {path}: {e}"))?;
-        }
-    }
+    check_outputs(&[("--out", out), ("--trace-out", trace_out)])?;
     let (engine, samples) = ServeEngine::demo(seed);
     let config = LoadgenConfig {
         seed,
@@ -1034,10 +1034,15 @@ mod tests {
 
     #[test]
     fn search_writability_check_preserves_existing_persistence_files() {
-        // The fail-fast writability probe for --checkpoint/--eval-cache must
-        // not truncate: an existing warm cache is operator state.
-        let cache = tmp("warm_cache_probe.json");
-        std::fs::write(&cache, "{\"warm\":true}").expect("seed cache");
+        // The fail-fast writability probe must not truncate: an existing
+        // checkpoint is operator state, and a missing output path must not
+        // be left behind as an empty file.
+        let checkpoint = tmp("existing_checkpoint_probe.json");
+        let trace = tmp("existing_trace_probe.json");
+        let out = tmp("missing_outcome_probe.json");
+        std::fs::write(&checkpoint, "{\"episode\":4}").expect("seed checkpoint");
+        std::fs::write(&trace, "{\"events\":[]}").expect("seed trace");
+        std::fs::remove_file(&out).ok();
         let args = Args::parse_from([
             "search",
             "--data",
@@ -1047,18 +1052,28 @@ mod tests {
             "--attrs",
             "age",
             "--out",
-            "o.json",
-            "--eval-cache",
-            &cache,
+            &out,
+            "--checkpoint",
+            &checkpoint,
+            "--resume",
+            "--trace-out",
+            &trace,
         ])
         .expect("parse");
         // Fails later (x.json missing), but only after the probe ran.
-        assert!(run(&args).is_err());
+        let err = run(&args).unwrap_err();
+        assert!(err.contains("x.json"), "{err}");
         assert_eq!(
-            std::fs::read_to_string(&cache).expect("cache still readable"),
-            "{\"warm\":true}"
+            std::fs::read_to_string(&checkpoint).expect("checkpoint still readable"),
+            "{\"episode\":4}"
         );
-        std::fs::remove_file(cache).ok();
+        assert_eq!(
+            std::fs::read_to_string(&trace).expect("trace still readable"),
+            "{\"events\":[]}"
+        );
+        assert!(!std::path::Path::new(&out).exists(), "the probe left {out}");
+        std::fs::remove_file(checkpoint).ok();
+        std::fs::remove_file(trace).ok();
     }
 
     #[test]

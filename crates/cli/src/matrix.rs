@@ -19,13 +19,13 @@
 
 use crate::Args;
 use muffin::{
-    fnv1a64, MuffinSearch, PersistenceOptions, RewardKind, Scenario, ScenarioRegistry,
-    SearchConfig, TextTable, WorkerPool,
+    fnv1a64, MuffinSearch, RewardKind, Scenario, ScenarioRegistry, SearchConfig, TextTable,
+    WorkerPool,
 };
 use muffin_data::DatasetSplit;
 use muffin_models::{Architecture, BackboneConfig, ModelPool};
 use muffin_tensor::{Rng64, SplitMix64};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Derives a per-scenario / per-cell seed by folding each part's FNV-1a
 /// hash into the accumulator through a SplitMix64 step.
@@ -43,8 +43,8 @@ fn fold_seed(base: u64, parts: &[&str]) -> u64 {
     acc
 }
 
-/// One parsed `--rewards` entry: the canonical tag used in reports and
-/// cache file names, plus the reward shape it names.
+/// One parsed `--rewards` entry: the canonical tag used in reports, plus
+/// the reward shape it names.
 #[derive(Debug)]
 struct RewardSpec {
     tag: String,
@@ -259,11 +259,6 @@ fn render_bench_suite(report: &MatrixReport, elapsed_ns: &[u128]) -> String {
     text
 }
 
-/// File-name-safe form of a reward tag (`linear:0.75` → `linear_0.75`).
-fn file_tag(tag: &str) -> String {
-    tag.replace(':', "_")
-}
-
 /// Runs `muffin matrix`. See `USAGE` in `commands.rs` for the flags.
 pub(crate) fn matrix(args: &Args) -> Result<(), String> {
     // Validate the whole grid spec before generating or training anything.
@@ -306,7 +301,6 @@ pub(crate) fn matrix(args: &Args) -> Result<(), String> {
         return Err("--workers must be at least 1".into());
     }
     let out_dir = PathBuf::from(args.get("out-dir").unwrap_or("results/matrix"));
-    let cache_dir = args.get("cache-dir").map(PathBuf::from);
     let bench_out = args.get("bench-out");
     let verbose = args.get_flag("verbose");
 
@@ -342,10 +336,7 @@ pub(crate) fn matrix(args: &Args) -> Result<(), String> {
 
     std::fs::create_dir_all(&out_dir)
         .map_err(|e| format!("cannot create --out-dir {}: {e}", out_dir.display()))?;
-    if let Some(dir) = &cache_dir {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create --cache-dir {}: {e}", dir.display()))?;
-    }
+    crate::commands::check_outputs(&[("--bench-out", bench_out)])?;
 
     let pool = WorkerPool::new(workers);
 
@@ -387,7 +378,7 @@ pub(crate) fn matrix(args: &Args) -> Result<(), String> {
         .flat_map(|si| (0..rewards.len()).map(move |ri| (si, ri)))
         .collect();
     let outcomes = pool.map(&grid, |_, &(si, ri)| {
-        run_cell(&prepared[si], &rewards[ri], cache_dir.as_deref(), CellParams {
+        run_cell(&prepared[si], &rewards[ri], CellParams {
             seed,
             episodes,
             slots,
@@ -468,7 +459,6 @@ struct CellParams {
 fn run_cell(
     prepared: &PreparedScenario,
     reward: &RewardSpec,
-    cache_dir: Option<&Path>,
     params: CellParams,
 ) -> Result<(MatrixCell, u128), String> {
     let started = std::time::Instant::now();
@@ -482,18 +472,9 @@ fn run_cell(
         .with_reward_kind(reward.kind);
     let search = MuffinSearch::new(prepared.pool.clone(), prepared.split.clone(), config)
         .map_err(|e| format!("{label}: {e}"))?;
-    let persistence = PersistenceOptions {
-        eval_cache: cache_dir
-            .map(|dir| dir.join(format!("{}-{}.json", scenario.name(), file_tag(&reward.tag)))),
-        ..PersistenceOptions::default()
-    };
     let cell_seed = fold_seed(params.seed, &[scenario.name(), &reward.tag]);
     let outcome = search
-        .run_persistent(
-            &mut Rng64::seed(cell_seed),
-            &WorkerPool::serial(),
-            &persistence,
-        )
+        .run(&mut Rng64::seed(cell_seed))
         .map_err(|e| format!("{label}: {e}"))?;
     let best = outcome.best();
     // Re-evaluate the winner to read the joint-cell unfairness the search
@@ -550,12 +531,6 @@ mod tests {
         assert!(parse_reward("linear:x").unwrap_err().contains("lambda"));
         assert!(parse_reward("linear:-1").unwrap_err().contains("lambda"));
         assert!(parse_reward("linearise").unwrap_err().contains("unknown"));
-    }
-
-    #[test]
-    fn reward_tags_are_file_safe() {
-        assert_eq!(file_tag("linear:0.75"), "linear_0.75");
-        assert_eq!(file_tag("paper"), "paper");
     }
 
     #[test]

@@ -437,84 +437,20 @@ fn corrupt_or_mismatched_checkpoints_are_rejected_loudly() {
 }
 
 #[test]
-fn warm_eval_cache_reports_disk_hits_and_preserves_outcome_bytes() {
-    let (data, pool) = fixture();
-    let cold_out = tmp("cache_cold.json");
-    let warm_out = tmp("cache_warm.json");
-    let cache = tmp("cache_file.json");
-    let trace = tmp("cache_trace.json");
-    std::fs::remove_file(&cache).ok();
-
-    let cold = run_search(&search_cmd(
-        &data,
-        &pool,
-        &cold_out,
-        &["--eval-cache", &cache],
-    ));
-    assert!(
-        cold.status.success(),
-        "cold search failed: {}",
-        String::from_utf8_lossy(&cold.stderr)
-    );
-
-    let warm = run_search(&search_cmd(
-        &data,
-        &pool,
-        &warm_out,
-        &["--eval-cache", &cache, "--trace-out", &trace],
-    ));
-    assert!(
-        warm.status.success(),
-        "warm search failed: {}",
-        String::from_utf8_lossy(&warm.stderr)
-    );
-    assert_eq!(
-        std::fs::read_to_string(&cold_out).expect("cold outcome"),
-        std::fs::read_to_string(&warm_out).expect("warm outcome"),
-        "a warm eval cache changed the outcome"
-    );
-
-    let log = TraceLog::load_json(&trace).expect("trace log parses");
-    let disk_hits: u64 = log
-        .events
-        .iter()
-        .filter(|e| e.name == "search.cache_hit_disk")
-        .map(|e| match e.data {
-            muffin_trace::EventData::Counter { value } => value,
-            _ => 0,
-        })
-        .sum();
-    assert!(
-        disk_hits >= 1,
-        "warm run reported no search.cache_hit_disk counter"
-    );
-
-    for f in [cold_out, warm_out, cache, trace] {
-        std::fs::remove_file(f).ok();
-    }
-}
-
-#[test]
 fn pool_lifecycle_grows_rejects_stale_resume_and_guards_chosen_models() {
     let (data, fixture_pool) = fixture();
     let pool = tmp("lifecycle_pool.json");
     let out = tmp("lifecycle_out.json");
     let ckpt = tmp("lifecycle_ckpt.json");
-    let cache = tmp("lifecycle_cache.json");
     std::fs::copy(&fixture_pool, &pool).expect("copy fixture pool");
-    for f in [&out, &ckpt, &cache] {
+    for f in [&out, &ckpt] {
         std::fs::remove_file(f).ok();
     }
 
     // Phase 1: search on the 2-model pool, stopping at episode 4 with a
-    // checkpoint and a cross-run eval cache on disk.
+    // checkpoint on disk.
     let stopped = run_search(&stopped_at(
-        search_cmd(
-            &data,
-            &pool,
-            &out,
-            &["--checkpoint", &ckpt, "--eval-cache", &cache],
-        ),
+        search_cmd(&data, &pool, &out, &["--checkpoint", &ckpt]),
         "4",
     ));
     assert!(
@@ -553,9 +489,9 @@ fn pool_lifecycle_grows_rejects_stale_resume_and_guards_chosen_models() {
         String::from_utf8_lossy(&dup.stderr)
     );
 
-    // Phase 3: a checkpoint and an eval cache serve only the pool they
-    // were written for. Over the grown pool each is rejected, naming
-    // every added model by id, and both files stay untouched.
+    // Phase 3: a checkpoint serves only the pool it was written for. Over
+    // the grown pool it is rejected, naming every added model by id, and
+    // neither the checkpoint nor the outcome file is touched.
     let added: Vec<&str> = add_stdout
         .lines()
         .filter_map(|line| line.strip_prefix("  "))
@@ -566,12 +502,12 @@ fn pool_lifecycle_grows_rejects_stale_resume_and_guards_chosen_models() {
         "pool add must list both models: {add_stdout}"
     );
     let ckpt_bytes = std::fs::read(&ckpt).expect("checkpoint bytes");
-    let cache_bytes = std::fs::read(&cache).expect("eval cache bytes");
+    let out_before = std::fs::read(&out).expect("outcome bytes");
     let resumed = run_search(&search_cmd(
         &data,
         &pool,
         &out,
-        &["--checkpoint", &ckpt, "--eval-cache", &cache, "--resume"],
+        &["--checkpoint", &ckpt, "--resume"],
     ));
     let stderr = String::from_utf8_lossy(&resumed.stderr);
     assert_eq!(
@@ -590,37 +526,10 @@ fn pool_lifecycle_grows_rejects_stale_resume_and_guards_chosen_models() {
         ckpt_bytes == std::fs::read(&ckpt).expect("checkpoint bytes after"),
         "a rejected resume rewrote the checkpoint"
     );
-    assert!(
-        cache_bytes == std::fs::read(&cache).expect("eval cache bytes after"),
-        "a rejected resume rewrote the eval cache"
-    );
-
-    let out_before = std::fs::read(&out).ok();
-    let warm = run_search(&search_cmd(&data, &pool, &out, &["--eval-cache", &cache]));
-    let stderr = String::from_utf8_lossy(&warm.stderr);
-    assert_eq!(
-        warm.status.code(),
-        Some(1),
-        "an eval cache written before pool add must be rejected: {stderr}"
-    );
-    assert!(
-        stderr.contains("model pool grew") && stderr.contains("pass a fresh path"),
-        "{stderr}"
-    );
-    for identity in &added {
-        assert!(
-            stderr.contains(identity),
-            "the rejection must name {identity}: {stderr}"
-        );
-    }
-    assert!(
-        cache_bytes == std::fs::read(&cache).expect("eval cache bytes after"),
-        "a rejected search rewrote the eval cache"
-    );
     assert_eq!(
         out_before,
-        std::fs::read(&out).ok(),
-        "a rejected search wrote an outcome"
+        std::fs::read(&out).expect("outcome bytes after"),
+        "a rejected resume rewrote the outcome"
     );
 
     // The operator starts a new search over the grown pool.
@@ -701,7 +610,7 @@ fn pool_lifecycle_grows_rejects_stale_resume_and_guards_chosen_models() {
     united.dedup();
     assert_eq!(kept_names, united, "gc kept the wrong models");
 
-    for f in [pool, out, ckpt, cache] {
+    for f in [pool, out, ckpt] {
         std::fs::remove_file(f).ok();
     }
 }
@@ -1234,7 +1143,10 @@ fn every_command_rejects_flags_it_does_not_read_before_any_file_is_read() {
         // A typo of --episodes, and a flag of the removed sharded fleet.
         format!("{search} --episode 3"),
         format!("{search} --shards 2"),
+        // Flags of the removed cross-run eval cache.
+        format!("{search} --eval-cache {out}"),
         format!("matrix --scenarios german-credit --out-dir {out_dir} --attrs age"),
+        format!("matrix --scenarios german-credit --out-dir {out_dir} --cache-dir {out_dir}"),
         "serve --clients 4".to_string(),
         "serve --worker-delay-us 5".to_string(),
         format!("loadgen --out {out} --samples 10"),
@@ -1347,14 +1259,11 @@ fn matrix_cmd(scenario_file: &str, out_dir: &str, extra: &[&str]) -> Vec<String>
 }
 
 #[test]
-fn matrix_reports_are_byte_identical_across_worker_counts_and_cache_reuse() {
+fn matrix_reports_are_byte_identical_across_worker_counts() {
     let scenario_file = tmp("matrix_custom_scenario.json");
     std::fs::write(&scenario_file, CUSTOM_SCENARIO).expect("write scenario file");
     let dir_serial = tmp("matrix_serial");
     let dir_parallel = tmp("matrix_parallel");
-    let dir_warm = tmp("matrix_warm");
-    let cache_dir = tmp("matrix_cache");
-    std::fs::remove_dir_all(&cache_dir).ok();
 
     let serial = muffin(
         &matrix_cmd(&scenario_file, &dir_serial, &["--workers", "1"])
@@ -1391,43 +1300,12 @@ fn matrix_reports_are_byte_identical_across_worker_counts_and_cache_reuse() {
         String::from_utf8_lossy(&parallel.stderr)
     );
 
-    // A warm run over a freshly written per-cell eval cache (the first
-    // --cache-dir run populates it, this one reads it back).
-    let cold = muffin(
-        &matrix_cmd(
-            &scenario_file,
-            &dir_warm,
-            &["--workers", "2", "--cache-dir", &cache_dir],
-        )
-        .iter()
-        .map(String::as_str)
-        .collect::<Vec<_>>(),
-    );
-    assert!(cold.status.success());
-    let warm = muffin(
-        &matrix_cmd(
-            &scenario_file,
-            &dir_warm,
-            &["--workers", "2", "--cache-dir", &cache_dir],
-        )
-        .iter()
-        .map(String::as_str)
-        .collect::<Vec<_>>(),
-    );
-    assert!(warm.status.success());
-    // One cache file per cell appeared.
-    let caches = std::fs::read_dir(&cache_dir).expect("cache dir").count();
-    assert_eq!(caches, 4, "expected one eval cache per cell");
-
     for name in ["matrix.json", "matrix.md"] {
         let a = std::fs::read_to_string(std::path::Path::new(&dir_serial).join(name))
             .expect("serial report");
         let b = std::fs::read_to_string(std::path::Path::new(&dir_parallel).join(name))
             .expect("parallel report");
-        let c = std::fs::read_to_string(std::path::Path::new(&dir_warm).join(name))
-            .expect("warm report");
         assert_eq!(a, b, "{name} diverged across worker counts");
-        assert_eq!(a, c, "{name} diverged under a warm eval cache");
     }
 
     // The JSON report parses and covers every cell of the grid.
@@ -1442,7 +1320,7 @@ fn matrix_reports_are_byte_identical_across_worker_counts_and_cache_reuse() {
     }
 
     std::fs::remove_file(scenario_file).ok();
-    for d in [dir_serial, dir_parallel, dir_warm, cache_dir] {
+    for d in [dir_serial, dir_parallel] {
         std::fs::remove_dir_all(d).ok();
     }
 }
@@ -1560,4 +1438,68 @@ fn load_errors_name_the_file() {
         }
     }
     std::fs::remove_file(malformed).ok();
+}
+
+#[test]
+fn unwritable_outputs_are_named_before_any_work() {
+    // Every output path is checked once the arguments are valid and
+    // before any training or search: each command exits 1 naming the
+    // path, prints no result and writes none of its other outputs.
+    let (data, pool) = fixture();
+    let out = tmp("unwritable_other_out.json");
+    let out_dir = tmp("unwritable_matrix");
+    std::fs::remove_file(&out).ok();
+    std::fs::remove_dir_all(&out_dir).ok();
+    let search = format!("search --data {data} --pool {pool} --attrs age --episodes 1");
+    for (command, path) in [
+        (
+            "generate --samples 10 --out /nonexistent/x.json".to_string(),
+            "/nonexistent/x.json",
+        ),
+        (
+            format!(
+                "train-pool --data {data} --archs ResNet-18 --epochs 1 --out /nonexistent/p.json"
+            ),
+            "/nonexistent/p.json",
+        ),
+        (
+            format!(
+                "matrix --scenarios german-credit --samples 300 --episodes 1 --epochs 1 \
+                 --archs ResNet-18 --out-dir {out_dir} --bench-out /nonexistent/m.json"
+            ),
+            "/nonexistent/m.json",
+        ),
+        (
+            format!("{search} --out /nonexistent/o.json"),
+            "/nonexistent/o.json",
+        ),
+        (
+            format!("{search} --out {out} --distill-out /nonexistent/s.json"),
+            "/nonexistent/s.json",
+        ),
+        (
+            format!("{search} --out {out} --checkpoint /nonexistent/c.json"),
+            "/nonexistent/c.json",
+        ),
+        (
+            "loadgen --requests 1 --trace-out /nonexistent/t.json".to_string(),
+            "/nonexistent/t.json",
+        ),
+    ] {
+        let result = muffin(&command.split_whitespace().collect::<Vec<_>>());
+        let stderr = String::from_utf8_lossy(&result.stderr);
+        assert_eq!(result.status.code(), Some(1), "{command}: {stderr}");
+        assert!(
+            stderr.contains("cannot write --") && stderr.contains(path),
+            "{command} must name {path}: {stderr}"
+        );
+        assert!(result.stdout.is_empty(), "{command} printed results");
+        assert!(
+            !std::path::Path::new(&out).exists(),
+            "{command} wrote {out}"
+        );
+        let report = std::path::Path::new(&out_dir).join("matrix.json");
+        assert!(!report.exists(), "{command} wrote {}", report.display());
+    }
+    std::fs::remove_dir_all(&out_dir).ok();
 }

@@ -1,34 +1,28 @@
-//! Durable persistence for the search loop: checkpoints and the
-//! cross-run evaluation cache.
+//! Durable persistence for the search loop: checkpoints.
 //!
 //! The search (paper Sec. 3.2 ④) is the expensive phase of the pipeline —
-//! every distinct candidate trains a muffin head from scratch. This module
-//! makes that work durable in two layers:
+//! every distinct candidate trains a muffin head from scratch. A
+//! [`SearchCheckpoint`] makes that work durable: a complete, versioned
+//! snapshot of a run in flight — RNG stream position, controller
+//! parameters + optimizer moments + EMA baseline, the episode history and
+//! the action-vector → [`EpisodeRecord`] evaluation cache. It is written
+//! atomically (temp file + rename) at REINFORCE batch boundaries, so a
+//! killed run resumes **bit-identically** — the resumed [`SearchOutcome`]
+//! is byte-equal to an uninterrupted run at any worker count (enforced by
+//! the golden-snapshot suite). A run with a larger episode budget resumed
+//! from a shorter run's boundary checkpoint extends that trajectory byte
+//! for byte, reusing every candidate the shorter run trained.
 //!
-//! * [`SearchCheckpoint`] — a complete, versioned snapshot of a run in
-//!   flight: RNG stream position, controller parameters + optimizer
-//!   moments + EMA baseline, the episode history and the action-vector →
-//!   [`EpisodeRecord`] evaluation cache. Written atomically (temp file +
-//!   rename) at REINFORCE batch boundaries, so a killed run resumes
-//!   **bit-identically** — the resumed [`SearchOutcome`] is byte-equal to
-//!   an uninterrupted run at any worker count (enforced by the
-//!   golden-snapshot suite).
-//! * [`EvalCacheFile`] — just the evaluation cache, shared **across**
-//!   runs of one recipe and seed: a repeated search skips already-trained
-//!   candidates and reports each skip on the `search.cache_hit_disk`
-//!   trace counter.
+//! A checkpoint carries a [`SearchFingerprint`] identifying the exact run
+//! it belongs to. Loading rejects loudly ([`MuffinError::StaleArtifact`])
+//! on any mismatch rather than silently producing a drifted search. It
+//! serves only the pool it was written for: after `muffin pool add` it is
+//! rejected, naming the added models by id, and the operator starts a new
+//! search.
 //!
-//! Both artifacts carry a [`SearchFingerprint`] identifying the exact
-//! run they belong to. Loading rejects loudly
-//! ([`MuffinError::StaleArtifact`]) on any mismatch rather than silently
-//! producing a drifted search, and a cache write never merges in records
-//! of another run, so a cache changes wall-clock time, never the outcome.
-//!
-//! Both serve only the pool they were written for: after `muffin pool
-//! add` each is rejected, naming the added models by id, and the operator
-//! starts a new search with a fresh cache path. A cached record was
-//! trained from its own run's head seed, which a search over the grown
-//! pool would not draw, so serving it would change the outcome.
+//! [`EvalCacheFile`] is the evaluation cache alone, in the same layout.
+//! No search reads or writes one; it stays only because the repository
+//! benchmark (`e2e-bench`) builds one and times [`EvalCacheFile::load_warm`].
 //!
 //! [`SearchOutcome`]: crate::SearchOutcome
 
@@ -38,7 +32,7 @@ use crate::{MuffinError, SearchSpace};
 use muffin_models::{PoolManifest, PoolRelation};
 use std::path::Path;
 
-/// Format version written into every checkpoint and eval-cache file.
+/// Format version written into every checkpoint (and [`EvalCacheFile`]).
 /// Bumped whenever the serialised layout changes incompatibly; loading a
 /// file with a different version is a [`MuffinError::StaleArtifact`].
 /// Version 2 added [`SearchCheckpoint::exchanges_applied`] (always 0);
@@ -57,7 +51,7 @@ pub use muffin_models::fnv1a64;
 /// Two runs share a fingerprint exactly when they are guaranteed to walk
 /// the same search trajectory prefix: same caller-RNG entry state, same
 /// configuration (modulo the episode budget — a longer run's trajectory
-/// extends a shorter one's, so cached evaluations stay valid), same
+/// extends a shorter one's, so a boundary checkpoint stays valid), same
 /// decoded search space, and the same pool and dataset bytes.
 #[derive(Debug, Clone)]
 pub struct SearchFingerprint {
@@ -84,7 +78,7 @@ muffin_json::impl_json!(struct SearchFingerprint {
 
 impl SearchFingerprint {
     /// Builds the fingerprint for a run. `config.episodes` is normalised
-    /// to zero so artifacts stay valid across episode-budget changes.
+    /// to zero so a checkpoint stays valid across episode-budget changes.
     pub fn new(
         rng_state: [u64; 4],
         config: &SearchConfig,
@@ -120,12 +114,7 @@ impl SearchFingerprint {
 
     /// Like [`Self::mismatch`] but ignores the caller-RNG entry state:
     /// the rule [`EvalCacheFile::load_warm`] applies when `shared` is set.
-    ///
-    /// A record written under another seed is a valid evaluation of its
-    /// candidate, but with that seed's head seed, so a run that consumes
-    /// it no longer reproduces its own cold outcome. Every search and
-    /// every cache write uses the strict [`Self::mismatch`].
-    pub fn mismatch_ignoring_rng(&self, other: &Self) -> Option<String> {
+    fn mismatch_ignoring_rng(&self, other: &Self) -> Option<String> {
         if muffin_json::to_string(&self.config) != muffin_json::to_string(&other.config) {
             return Some("search configuration changed".to_string());
         }
@@ -256,20 +245,21 @@ impl SearchCheckpoint {
     }
 }
 
-/// The cross-run evaluation cache: trained-candidate metrics keyed by
-/// action vector, reusable by any run sharing the same
-/// [`SearchFingerprint`].
+/// Trained-candidate metrics keyed by action vector, under the
+/// [`SearchFingerprint`] of the run that trained them: the evaluation
+/// cache of a [`SearchCheckpoint`] on its own.
 ///
-/// Because a matching fingerprint pins the whole search trajectory,
-/// every cached record is bit-identical to what a fresh evaluation would
-/// produce — loading the cache changes wall-clock time and the
-/// `search.cache_hit_disk` counter, never the
-/// [`SearchOutcome`](crate::SearchOutcome).
+/// No search reads or writes one — a checkpoint carries the same records,
+/// and resuming it at a larger episode budget extends the run byte for
+/// byte. The type, [`Self::save`] and [`Self::load_warm`] remain only
+/// because the repository benchmark (`e2e-bench`) builds one and times
+/// `load_warm` as `checkpoint.eval_cache_load_ms`; they go with that
+/// metric.
 #[derive(Debug, Clone)]
 pub struct EvalCacheFile {
     /// Format version ([`CHECKPOINT_VERSION`]).
     pub version: u32,
-    /// Identity of the runs this cache serves.
+    /// Identity of the run whose records these are.
     pub fingerprint: SearchFingerprint,
     /// Cached evaluations, sorted by action vector.
     pub records: Vec<EpisodeRecord>,
@@ -278,7 +268,7 @@ pub struct EvalCacheFile {
 muffin_json::impl_json!(struct EvalCacheFile { version, fingerprint, records });
 
 impl EvalCacheFile {
-    /// Writes the cache atomically (see [`SearchCheckpoint::save`]).
+    /// Writes the file atomically (see [`SearchCheckpoint::save`]).
     ///
     /// # Errors
     ///
@@ -287,33 +277,20 @@ impl EvalCacheFile {
         write_atomic(path.as_ref(), &muffin_json::to_string(self))
     }
 
-    /// Loads and validates an evaluation cache.
+    /// Loads and validates a file written by [`Self::save`].
     ///
-    /// A missing or empty file yields `Ok(None)` — a cold cache is the
-    /// normal first-run state, not an error. An unreadable, corrupt,
-    /// wrong-version or wrong-fingerprint file is rejected loudly so a
-    /// stale cache can never silently feed wrong metrics into a search.
+    /// A missing or empty file yields `Ok(None)`. An unreadable, corrupt,
+    /// wrong-version or wrong-fingerprint file is rejected loudly. With
+    /// `shared` set, a file written under another caller-RNG state is
+    /// accepted; every other component of the fingerprint must still
+    /// match.
     ///
     /// # Errors
     ///
     /// * [`MuffinError::Io`] if the file exists but cannot be read;
     /// * [`MuffinError::StaleArtifact`] if it does not parse or does not
-    ///   match `expected`. A pool that grew since the cache was written
+    ///   match `expected`. A pool that grew since the file was written
     ///   is such a difference; the message names each added model by id.
-    pub fn load(
-        path: impl AsRef<Path>,
-        expected: &SearchFingerprint,
-    ) -> Result<Option<Self>, MuffinError> {
-        Self::load_warm(path, expected, false)
-    }
-
-    /// [`Self::load`], except that `shared` accepts a cache written under
-    /// another seed ([`SearchFingerprint::mismatch_ignoring_rng`]). No
-    /// search passes `true`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::load`].
     pub fn load_warm(
         path: impl AsRef<Path>,
         expected: &SearchFingerprint,
@@ -353,121 +330,11 @@ impl EvalCacheFile {
         };
         if let Some(what) = stale {
             return Err(MuffinError::StaleArtifact(format!(
-                "eval cache {} belongs to a different run: {what} — \
-                 delete it or pass a fresh path",
+                "eval cache {} belongs to a different run: {what}",
                 path.display()
             )));
         }
         Ok(Some(cache))
-    }
-
-    /// Writes the cache with **merge-on-write** semantics, safe for
-    /// concurrent writers sharing one path.
-    ///
-    /// Plain [`Self::save`] is last-writer-wins: two processes finishing
-    /// around the same time would each temp+rename their own snapshot and
-    /// silently drop the other's entries. `save_merged` instead takes a
-    /// sibling `<path>.lock` file (atomic `create_new`), re-reads the
-    /// current file, unions its records with `self.records` keyed by
-    /// action vector (entries are content-addressed, so the union is
-    /// conflict-free; on a duplicate key the existing record wins), and
-    /// only then renames the merged snapshot into place.
-    ///
-    /// Only a file [`Self::load`] accepts under this cache's own
-    /// fingerprint is merged. Existing content that does not parse or
-    /// belongs to a different run — another seed included — is treated
-    /// as absent and overwritten, matching [`Self::save`], so records
-    /// trained from another seed's head seeds never enter this run's
-    /// cache.
-    ///
-    /// A lock older than ten seconds is presumed abandoned (writer
-    /// crashed between `create_new` and the guard drop) and is stolen.
-    ///
-    /// # Errors
-    ///
-    /// [`MuffinError::Io`] on filesystem failure or when the lock cannot
-    /// be acquired within five seconds.
-    pub fn save_merged(&self, path: impl AsRef<Path>) -> Result<(), MuffinError> {
-        let path = path.as_ref();
-        let _lock = LockGuard::acquire(path)?;
-        let mut merged: std::collections::BTreeMap<Vec<usize>, EpisodeRecord> = self
-            .records
-            .iter()
-            .map(|r| (r.actions.clone(), r.clone()))
-            .collect();
-        if let Ok(Some(existing)) = Self::load(path, &self.fingerprint) {
-            for record in existing.records {
-                merged.insert(record.actions.clone(), record);
-            }
-        }
-        let file = Self {
-            version: self.version,
-            fingerprint: self.fingerprint.clone(),
-            records: merged.into_values().collect(),
-        };
-        write_atomic(path, &muffin_json::to_string(&file))
-    }
-}
-
-/// Holds `<path>.lock` for the merge-on-write critical section of
-/// [`EvalCacheFile::save_merged`]; removes it on drop (including the
-/// error paths).
-struct LockGuard(std::path::PathBuf);
-
-impl LockGuard {
-    const STALE_AFTER: std::time::Duration = std::time::Duration::from_secs(10);
-    const TIMEOUT: std::time::Duration = std::time::Duration::from_secs(5);
-
-    fn acquire(target: &Path) -> Result<Self, MuffinError> {
-        let mut name = target
-            .file_name()
-            .ok_or_else(|| MuffinError::Io(format!("{} has no file name", target.display())))?
-            .to_os_string();
-        name.push(".lock");
-        let lock = target.with_file_name(name);
-        let start = std::time::Instant::now();
-        loop {
-            match std::fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&lock)
-            {
-                Ok(_) => return Ok(Self(lock)),
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    // Steal locks abandoned by a crashed writer.
-                    if let Ok(meta) = std::fs::metadata(&lock) {
-                        let abandoned = meta
-                            .modified()
-                            .ok()
-                            .and_then(|m| m.elapsed().ok())
-                            .is_some_and(|age| age > Self::STALE_AFTER);
-                        if abandoned {
-                            std::fs::remove_file(&lock).ok();
-                            continue;
-                        }
-                    }
-                    if start.elapsed() > Self::TIMEOUT {
-                        return Err(MuffinError::Io(format!(
-                            "timed out waiting for cache lock {}",
-                            lock.display()
-                        )));
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                }
-                Err(e) => {
-                    return Err(MuffinError::Io(format!(
-                        "cannot create cache lock {}: {e}",
-                        lock.display()
-                    )))
-                }
-            }
-        }
-    }
-}
-
-impl Drop for LockGuard {
-    fn drop(&mut self) {
-        std::fs::remove_file(&self.0).ok();
     }
 }
 
@@ -486,10 +353,6 @@ pub struct PersistenceOptions {
     /// Resume from `checkpoint` instead of starting fresh. The file must
     /// exist, parse, and fingerprint-match the current run.
     pub resume: bool,
-    /// Cross-run evaluation cache file: loaded (if present) before the
-    /// run and rewritten with the merged cache afterwards
-    /// ([`EvalCacheFile::save_merged`]).
-    pub eval_cache: Option<std::path::PathBuf>,
 }
 
 /// Writes `contents` to a `.tmp` sibling of `path` and renames it into
@@ -674,12 +537,14 @@ mod tests {
         let fp = fingerprint(0);
         let dir = std::env::temp_dir().join("muffin_ckpt_unit");
         std::fs::create_dir_all(&dir).expect("mkdir");
-        assert!(EvalCacheFile::load(dir.join("absent.json"), &fp)
-            .expect("missing file is cold")
-            .is_none());
+        assert!(
+            EvalCacheFile::load_warm(dir.join("absent.json"), &fp, false)
+                .expect("missing file is cold")
+                .is_none()
+        );
         let empty = dir.join("empty.json");
         std::fs::write(&empty, "").expect("write");
-        assert!(EvalCacheFile::load(&empty, &fp)
+        assert!(EvalCacheFile::load_warm(&empty, &fp, false)
             .expect("empty file is cold")
             .is_none());
         std::fs::remove_file(empty).ok();
@@ -693,7 +558,7 @@ mod tests {
 
         let corrupt = dir.join("corrupt.json");
         std::fs::write(&corrupt, "{\"version\": 1,").expect("write");
-        let err = EvalCacheFile::load(&corrupt, &fp).unwrap_err();
+        let err = EvalCacheFile::load_warm(&corrupt, &fp, false).unwrap_err();
         assert!(matches!(err, MuffinError::StaleArtifact(_)), "{err}");
         let err = SearchCheckpoint::load(&corrupt, &fp).unwrap_err();
         assert!(err.to_string().contains("corrupt"), "{err}");
@@ -705,7 +570,7 @@ mod tests {
             records: vec![],
         };
         cache.save(&stale).expect("save");
-        let err = EvalCacheFile::load(&stale, &fp).unwrap_err();
+        let err = EvalCacheFile::load_warm(&stale, &fp, false).unwrap_err();
         assert!(err.to_string().contains("rng seed/state"), "{err}");
 
         let old = dir.join("old_version.json");
@@ -715,7 +580,7 @@ mod tests {
             records: vec![],
         };
         cache.save(&old).expect("save");
-        let err = EvalCacheFile::load(&old, &fp).unwrap_err();
+        let err = EvalCacheFile::load_warm(&old, &fp, false).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
 
         for f in ["corrupt.json", "stale.json", "old_version.json"] {
@@ -752,7 +617,7 @@ mod tests {
         cache.save(&path).expect("save");
 
         // Strict load: rejected (different rng entry state).
-        let err = EvalCacheFile::load(&path, &fingerprint(0)).unwrap_err();
+        let err = EvalCacheFile::load_warm(&path, &fingerprint(0), false).unwrap_err();
         assert!(err.to_string().contains("rng seed/state"), "{err}");
         // Shared load: accepted.
         let loaded = EvalCacheFile::load_warm(&path, &fingerprint(0), true)
@@ -764,103 +629,6 @@ mod tests {
         other.pool_hash ^= 1;
         let err = EvalCacheFile::load_warm(&path, &other, true).unwrap_err();
         assert!(err.to_string().contains("model pool"), "{err}");
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn save_merged_unions_with_the_existing_file() {
-        let dir = std::env::temp_dir().join("muffin_ckpt_unit_merge");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("cache.json");
-        std::fs::remove_file(&path).ok();
-        let fp = fingerprint(0);
-
-        let a = EvalCacheFile {
-            version: CHECKPOINT_VERSION,
-            fingerprint: fp.clone(),
-            records: vec![record(1), record(3)],
-        };
-        a.save_merged(&path).expect("first write");
-        // Second writer carries a disjoint set plus one overlapping key.
-        let b = EvalCacheFile {
-            version: CHECKPOINT_VERSION,
-            fingerprint: fp.clone(),
-            records: vec![record(2), record(3)],
-        };
-        b.save_merged(&path).expect("second write");
-
-        let merged = EvalCacheFile::load(&path, &fp)
-            .expect("load")
-            .expect("present");
-        let actions: Vec<Vec<usize>> = merged.records.iter().map(|r| r.actions.clone()).collect();
-        assert_eq!(actions, vec![vec![1, 2], vec![2, 3], vec![3, 4]]);
-        assert!(!path.with_extension("json.lock").exists());
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn save_merged_never_merges_a_cache_written_under_another_seed() {
-        let dir = std::env::temp_dir().join("muffin_ckpt_unit_seeds");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("cache.json");
-        std::fs::remove_file(&path).ok();
-        let write = |seed_word: u64, tag: usize| {
-            EvalCacheFile {
-                version: CHECKPOINT_VERSION,
-                fingerprint: fingerprint(seed_word),
-                records: vec![record(tag)],
-            }
-            .save_merged(&path)
-            .expect("merged write");
-        };
-        write(7, 1);
-        write(0, 2);
-
-        // The seed-7 record was trained from another seed's head seed: a
-        // strict load under seed 0 must see only this run's record.
-        let loaded = EvalCacheFile::load(&path, &fingerprint(0))
-            .expect("load")
-            .expect("present");
-        let actions: Vec<Vec<usize>> = loaded.records.iter().map(|r| r.actions.clone()).collect();
-        assert_eq!(actions, vec![vec![2, 3]]);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn concurrent_writers_lose_no_cache_entries() {
-        let dir = std::env::temp_dir().join("muffin_ckpt_unit_stress");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("cache.json");
-        std::fs::remove_file(&path).ok();
-        let fp = fingerprint(0);
-
-        const WRITERS: usize = 2;
-        const WRITES_EACH: usize = 12;
-        std::thread::scope(|scope| {
-            for w in 0..WRITERS {
-                let path = path.clone();
-                let fp = fp.clone();
-                scope.spawn(move || {
-                    for i in 0..WRITES_EACH {
-                        let file = EvalCacheFile {
-                            version: CHECKPOINT_VERSION,
-                            fingerprint: fp.clone(),
-                            records: vec![record(1000 * (w + 1) + i)],
-                        };
-                        file.save_merged(&path).expect("merged write");
-                    }
-                });
-            }
-        });
-
-        let merged = EvalCacheFile::load(&path, &fp)
-            .expect("load")
-            .expect("present");
-        assert_eq!(
-            merged.records.len(),
-            WRITERS * WRITES_EACH,
-            "every writer's entries must survive"
-        );
         std::fs::remove_file(path).ok();
     }
 

@@ -1,5 +1,5 @@
 use crate::checkpoint::{
-    EvalCacheFile, PersistenceOptions, SearchCheckpoint, SearchFingerprint, CHECKPOINT_VERSION,
+    PersistenceOptions, SearchCheckpoint, SearchFingerprint, CHECKPOINT_VERSION,
 };
 use crate::{
     BodyOutputCache, Candidate, ControllerConfig, FusingStructure, HeadTrainConfig, MuffinError,
@@ -11,7 +11,7 @@ use muffin_models::{ModelEvaluation, ModelPool};
 use muffin_par::WorkerPool;
 use muffin_tensor::{Rng64, SplitMix64};
 use muffin_trace::{Field, Tracer};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Configuration of a full Muffin search.
@@ -251,10 +251,11 @@ impl SearchOutcome {
     ///
     /// # Errors
     ///
-    /// Returns an error string if serialisation or the write fails.
+    /// Returns an error string naming the file if the write fails.
     pub fn save_json(&self, path: impl AsRef<std::path::Path>) -> Result<(), String> {
-        let json = muffin_json::to_string(self);
-        std::fs::write(path, json).map_err(|e| e.to_string())
+        let path = path.as_ref();
+        std::fs::write(path, muffin_json::to_string(self))
+            .map_err(|e| format!("{}: {e}", path.display()))
     }
 
     /// Loads an outcome previously written by [`SearchOutcome::save_json`].
@@ -345,8 +346,6 @@ struct LoopState {
     history: Vec<EpisodeRecord>,
     /// Evaluated candidates by action vector.
     cache: HashMap<Vec<usize>, EpisodeRecord>,
-    /// Action vectors whose records were loaded from the eval-cache file.
-    disk_origin: HashSet<Vec<usize>>,
     best_idx: usize,
     best_reward: f32,
     /// Episode of the last checkpoint written (or resumed from).
@@ -639,8 +638,8 @@ impl MuffinSearch {
     }
 
     /// Builds the staleness fingerprint of a run starting from the given
-    /// caller-RNG state: the exact identity a checkpoint or evaluation
-    /// cache must carry to be replayed into this search.
+    /// caller-RNG state: the exact identity a checkpoint must carry to be
+    /// replayed into this search.
     fn fingerprint(&self, rng_state: [u64; 4]) -> SearchFingerprint {
         SearchFingerprint::new(
             rng_state,
@@ -660,20 +659,18 @@ impl MuffinSearch {
     ///   boundaries (`checkpoint` + `checkpoint_every`);
     /// * **resumes** from such a checkpoint (`resume`), continuing the
     ///   interrupted trajectory so the final [`SearchOutcome`] is
-    ///   byte-identical to an uninterrupted run at any worker count;
-    /// * loads and rewrites a cross-run [`EvalCacheFile`] (`eval_cache`),
-    ///   skipping head training for candidates already evaluated by an
-    ///   earlier run with the same fingerprint — each skipped evaluation
-    ///   is counted on the `search.cache_hit_disk` tracer counter.
+    ///   byte-identical to an uninterrupted run at any worker count.
     ///
-    /// To stop a run early at episode `k`, run it with an episode budget
-    /// of `k`, a multiple of the REINFORCE batch: its final checkpoint
-    /// resumes a run with the full budget to the same outcome as an
-    /// uninterrupted one.
+    /// To stop a run early at episode `k`, or to extend it later, run it
+    /// with an episode budget of `k`, a multiple of the REINFORCE batch:
+    /// its final checkpoint resumes a run with a larger budget to the same
+    /// outcome as an uninterrupted one, and the records in the
+    /// checkpoint's evaluation cache are not trained again. A checkpoint
+    /// that covers more episodes than the budget is refused.
     ///
-    /// The run restores its loop state (fresh, or from the checkpoint and
-    /// eval cache), then alternates one REINFORCE batch with a checkpoint
-    /// when one is due, and finally rewrites the eval cache.
+    /// The run restores its loop state (fresh, or from the checkpoint),
+    /// then alternates one REINFORCE batch with a checkpoint when one is
+    /// due.
     ///
     /// Checkpoints are only taken at batch boundaries because the policy
     /// update schedule is part of the trajectory: resuming mid-batch
@@ -703,7 +700,9 @@ impl MuffinSearch {
         }
         // Serialising the pool and split for hashing is not free; skip it
         // entirely for plain in-memory runs.
-        let fingerprint = (opts.checkpoint.is_some() || opts.eval_cache.is_some())
+        let fingerprint = opts
+            .checkpoint
+            .is_some()
             .then(|| self.fingerprint(rng.state()));
 
         let mut run_span = self.tracer.span("search.run");
@@ -720,7 +719,6 @@ impl MuffinSearch {
             }
         }
         run_span.finish();
-        self.write_eval_cache(opts, fingerprint.as_ref(), &state)?;
 
         Ok(SearchOutcome {
             history: state.history,
@@ -731,7 +729,7 @@ impl MuffinSearch {
 
     /// Builds the loop state a run starts from: a fresh controller and
     /// head-seed stream drawn from the caller's RNG, or — on resume — the
-    /// checkpoint's, plus any records warm-loaded from the eval cache.
+    /// checkpoint's.
     fn restore(
         &self,
         rng: &mut Rng64,
@@ -750,7 +748,6 @@ impl MuffinSearch {
             episode: 0,
             history: Vec::new(),
             cache: HashMap::new(),
-            disk_origin: HashSet::new(),
             best_idx: 0,
             best_reward: f32::MIN,
             last_checkpoint: 0,
@@ -766,10 +763,6 @@ impl MuffinSearch {
         } else {
             state.seed_stream_seed = rng.next_u64();
             state.history = Vec::with_capacity(self.config.episodes as usize);
-        }
-        if let Some(path) = &opts.eval_cache {
-            let fp = fingerprint.expect("eval cache path set");
-            self.warm_from_eval_cache(&mut state, path, fp)?;
         }
 
         // Per-episode head seeds, pre-derived so evaluation order (and the
@@ -841,34 +834,6 @@ impl MuffinSearch {
         Ok(())
     }
 
-    /// Adds the records of the cross-run eval cache at `path` (when it
-    /// exists and matches `fingerprint`, [`EvalCacheFile::load`]) to
-    /// `state`'s candidate cache.
-    fn warm_from_eval_cache(
-        &self,
-        state: &mut LoopState,
-        path: &std::path::Path,
-        fingerprint: &SearchFingerprint,
-    ) -> Result<(), MuffinError> {
-        let Some(file) = EvalCacheFile::load(path, fingerprint)? else {
-            return Ok(());
-        };
-        self.tracer.progress(|| {
-            format!(
-                "eval cache {}: {} record(s)",
-                path.display(),
-                file.records.len()
-            )
-        });
-        for record in file.records {
-            state.disk_origin.insert(record.actions.clone());
-            // A resumed checkpoint's entry wins, though the two are
-            // bit-identical whenever both exist.
-            state.cache.entry(record.actions.clone()).or_insert(record);
-        }
-        Ok(())
-    }
-
     /// Runs one REINFORCE batch: samples it under the frozen policy,
     /// evaluates its distinct uncached candidates on `workers`, merges the
     /// records in episode order and applies one policy update.
@@ -905,16 +870,6 @@ impl MuffinSearch {
         batch_span.field("jobs", jobs.len());
         tracer.count("search.cache_miss", jobs.len() as u64);
         tracer.count("search.cache_hit", (batch_len - jobs.len()) as u64);
-        // Episodes served by records loaded from --eval-cache. Only
-        // emitted when non-zero so cold runs keep their exact
-        // pre-persistence trace shape.
-        let disk_hits = sampled
-            .iter()
-            .filter(|s| state.disk_origin.contains(&s.actions))
-            .count() as u64;
-        if disk_hits > 0 {
-            tracer.count("search.cache_hit_disk", disk_hits);
-        }
 
         // Workers measure their own durations and record into per-job
         // forks; the forks are absorbed below in job order, so the event
@@ -1034,26 +989,6 @@ impl MuffinSearch {
         state.last_checkpoint = state.episode;
         self.tracer.count("search.checkpoint_write", 1);
         Ok(())
-    }
-
-    /// Rewrites the cross-run evaluation cache (when configured) with the
-    /// union of what was loaded and what this run evaluated, merging with
-    /// any concurrent writer's entries ([`EvalCacheFile::save_merged`]).
-    fn write_eval_cache(
-        &self,
-        opts: &PersistenceOptions,
-        fingerprint: Option<&SearchFingerprint>,
-        state: &LoopState,
-    ) -> Result<(), MuffinError> {
-        let (Some(path), Some(fp)) = (&opts.eval_cache, fingerprint) else {
-            return Ok(());
-        };
-        EvalCacheFile {
-            version: CHECKPOINT_VERSION,
-            fingerprint: fp.clone(),
-            records: state.cache_records(),
-        }
-        .save_merged(path)
     }
 }
 

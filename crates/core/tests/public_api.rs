@@ -85,7 +85,7 @@ fn default_configs_are_consistent() {
     assert_eq!(paper.episodes, 500, "the paper's episode count");
     assert_eq!(paper.num_slots, 2, "the paper's paired-model count");
     let persistence = PersistenceOptions::default();
-    assert!(persistence.checkpoint.is_none() && persistence.eval_cache.is_none());
+    assert!(persistence.checkpoint.is_none());
     assert!(!persistence.resume);
     assert_eq!(CHECKPOINT_VERSION, 3, "bump only with a format change");
 }

@@ -1,4 +1,4 @@
-use crate::{AttributeId, AttributeSchema, GroupId};
+use crate::{AttributeId, AttributeSchema};
 use muffin_tensor::{Matrix, Rng64};
 
 /// A labelled dataset with per-sample sensitive-attribute group membership.
@@ -14,8 +14,8 @@ use muffin_tensor::{Matrix, Rng64};
 ///
 /// let ds = IsicLike::small().generate(&mut Rng64::seed(1));
 /// let age = ds.schema().by_name("age").expect("age attribute");
-/// let young = ds.group_indices(age, muffin_data::GroupId::new(0));
-/// assert!(!young.is_empty());
+/// let young = ds.groups(age).iter().filter(|&&g| g == 0).count();
+/// assert!(young > 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Dataset {
@@ -133,20 +133,6 @@ impl Dataset {
         &self.group_ids[attr.index()]
     }
 
-    /// Indices of all samples in `group` of `attr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `attr` is out of range.
-    pub fn group_indices(&self, attr: AttributeId, group: GroupId) -> Vec<usize> {
-        self.group_ids[attr.index()]
-            .iter()
-            .enumerate()
-            .filter(|(_, &g)| g as usize == group.index())
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// A new dataset restricted to `indices` (in the given order).
     ///
     /// # Panics
@@ -212,7 +198,19 @@ muffin_json::impl_json!(struct DatasetSplit { train, val, test });
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SensitiveAttribute;
+    use crate::{GroupId, SensitiveAttribute};
+
+    impl Dataset {
+        /// Indices of all samples in `group` of `attr`.
+        pub(crate) fn group_indices(&self, attr: AttributeId, group: GroupId) -> Vec<usize> {
+            self.group_ids[attr.index()]
+                .iter()
+                .enumerate()
+                .filter(|(_, &g)| g as usize == group.index())
+                .map(|(i, _)| i)
+                .collect()
+        }
+    }
 
     fn tiny() -> Dataset {
         let features = Matrix::from_fn(10, 3, |r, c| (r * 3 + c) as f32);

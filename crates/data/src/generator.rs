@@ -21,7 +21,7 @@ use muffin_tensor::{Matrix, Rng64};
 /// use muffin_data::GroupSpec;
 ///
 /// let g = GroupSpec::new("oral/genital", 0.06).with_angle(80.0).with_noise_mult(1.9);
-/// assert!(g.is_disadvantaged());
+/// assert_eq!((g.angle_deg(), g.noise_mult()), (80.0, 1.9));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupSpec {
@@ -79,14 +79,6 @@ impl GroupSpec {
     /// Observation-noise multiplier.
     pub fn noise_mult(&self) -> f32 {
         self.noise_mult
-    }
-
-    /// Whether the generator *designed* this group to be disadvantaged.
-    ///
-    /// The Muffin pipeline itself determines privilege empirically from
-    /// model accuracy; this designed flag exists for tests and analysis.
-    pub fn is_disadvantaged(&self) -> bool {
-        self.angle_deg.abs() > 15.0 || self.noise_mult > 1.25
     }
 }
 
@@ -580,6 +572,16 @@ fn quantile_group(shares: &[f32], draw: f32) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl GroupSpec {
+        /// Whether the generator *designed* this group to be disadvantaged.
+        ///
+        /// The Muffin pipeline itself determines privilege empirically
+        /// from model accuracy; this designed flag exists for tests.
+        fn is_disadvantaged(&self) -> bool {
+            self.angle_deg.abs() > 15.0 || self.noise_mult > 1.25
+        }
+    }
 
     impl AttributeSpec {
         /// Indices of groups designed to be disadvantaged.

@@ -37,10 +37,12 @@ impl Error for DatasetIoError {
     }
 }
 
-impl From<std::io::Error> for DatasetIoError {
-    fn from(e: std::io::Error) -> Self {
-        DatasetIoError::Io(e)
-    }
+/// `e`, with its message prefixed by the file it concerns.
+fn naming(path: &Path, e: std::io::Error) -> DatasetIoError {
+    DatasetIoError::Io(std::io::Error::new(
+        e.kind(),
+        format!("{}: {e}", path.display()),
+    ))
 }
 
 impl Dataset {
@@ -48,11 +50,10 @@ impl Dataset {
     ///
     /// # Errors
     ///
-    /// Returns [`DatasetIoError::Io`] if the file cannot be written.
+    /// Returns [`DatasetIoError::Io`], naming the file, if it cannot be written.
     pub fn save_json(&self, path: impl AsRef<Path>) -> Result<(), DatasetIoError> {
-        let json = muffin_json::to_string(self);
-        fs::write(path, json)?;
-        Ok(())
+        let path = path.as_ref();
+        fs::write(path, muffin_json::to_string(self)).map_err(|e| naming(path, e))
     }
 
     /// Loads a dataset previously written by [`Dataset::save_json`].
@@ -68,12 +69,7 @@ impl Dataset {
     /// index (e.g. `labels[5]`) and the bound it breaks.
     pub fn load_json(path: impl AsRef<Path>) -> Result<Dataset, DatasetIoError> {
         let path = path.as_ref();
-        let text = fs::read_to_string(path).map_err(|e| {
-            DatasetIoError::Io(std::io::Error::new(
-                e.kind(),
-                format!("{}: {e}", path.display()),
-            ))
-        })?;
+        let text = fs::read_to_string(path).map_err(|e| naming(path, e))?;
         let dataset: Dataset = muffin_json::from_str(&text)
             .map_err(|e| DatasetIoError::Parse(format!("{}: {e}", path.display())))?;
         // Only outside input can carry a NaN or an infinity: the

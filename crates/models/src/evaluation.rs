@@ -160,19 +160,6 @@ impl ModelEvaluation {
         self.attributes.iter().find(|a| a.name == name)
     }
 
-    /// The joint-cell evaluation for one attribute pair, accepting the
-    /// names in either order.
-    pub fn intersection(&self, a: &str, b: &str) -> Option<&IntersectionEvaluation> {
-        self.intersections.iter().find(|ix| {
-            let (named_a, named_b) = (
-                self.attributes.get(ix.attr_a).map(|x| x.name.as_str()),
-                self.attributes.get(ix.attr_b).map(|x| x.name.as_str()),
-            );
-            (named_a == Some(a) && named_b == Some(b))
-                || (named_a == Some(b) && named_b == Some(a))
-        })
-    }
-
     /// Sum of joint-cell unfairness over every unordered pair of the listed
     /// attributes (all pairs when `names` is empty) — the intersectional
     /// counterpart of [`multi_unfairness`](Self::multi_unfairness). With
@@ -276,6 +263,21 @@ mod tests {
     use super::*;
     use muffin_data::{AttributeSchema, SensitiveAttribute};
     use muffin_tensor::Matrix;
+
+    impl ModelEvaluation {
+        /// The joint-cell evaluation for one attribute pair, accepting the
+        /// names in either order.
+        fn intersection(&self, a: &str, b: &str) -> Option<&IntersectionEvaluation> {
+            self.intersections.iter().find(|ix| {
+                let (named_a, named_b) = (
+                    self.attributes.get(ix.attr_a).map(|x| x.name.as_str()),
+                    self.attributes.get(ix.attr_b).map(|x| x.name.as_str()),
+                );
+                (named_a == Some(a) && named_b == Some(b))
+                    || (named_a == Some(b) && named_b == Some(a))
+            })
+        }
+    }
 
     fn toy_dataset() -> Dataset {
         // 6 samples; group 1 of attribute "a" is systematically hard.

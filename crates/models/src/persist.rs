@@ -37,10 +37,12 @@ impl Error for PoolIoError {
     }
 }
 
-impl From<std::io::Error> for PoolIoError {
-    fn from(e: std::io::Error) -> Self {
-        PoolIoError::Io(e)
-    }
+/// `e`, with its message prefixed by the file it concerns.
+fn naming(path: &Path, e: std::io::Error) -> PoolIoError {
+    PoolIoError::Io(std::io::Error::new(
+        e.kind(),
+        format!("{}: {e}", path.display()),
+    ))
 }
 
 impl ModelPool {
@@ -49,11 +51,10 @@ impl ModelPool {
     ///
     /// # Errors
     ///
-    /// Returns [`PoolIoError::Io`] if the file cannot be written.
+    /// Returns [`PoolIoError::Io`], naming the file, if it cannot be written.
     pub fn save_json(&self, path: impl AsRef<Path>) -> Result<(), PoolIoError> {
-        let json = muffin_json::to_string(self);
-        fs::write(path, json)?;
-        Ok(())
+        let path = path.as_ref();
+        fs::write(path, muffin_json::to_string(self)).map_err(|e| naming(path, e))
     }
 
     /// Loads a pool previously written by [`ModelPool::save_json`].
@@ -70,12 +71,7 @@ impl ModelPool {
     /// index (e.g. `mlp.layers[0].weight[3][5] = inf`).
     pub fn load_json(path: impl AsRef<Path>) -> Result<ModelPool, PoolIoError> {
         let path = path.as_ref();
-        let text = fs::read_to_string(path).map_err(|e| {
-            PoolIoError::Io(std::io::Error::new(
-                e.kind(),
-                format!("{}: {e}", path.display()),
-            ))
-        })?;
+        let text = fs::read_to_string(path).map_err(|e| naming(path, e))?;
         let pool: ModelPool = muffin_json::from_str(&text)
             .map_err(|e| PoolIoError::Parse(format!("{}: {e}", path.display())))?;
         for (i, model) in pool.iter().enumerate() {

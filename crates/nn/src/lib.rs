@@ -30,7 +30,7 @@
 //! let y = vec![0usize, 1, 1, 0];
 //! let spec = MlpSpec::new(2, &[8], 2).with_activation(Activation::Tanh);
 //! let mut mlp = Mlp::new(&spec, &mut rng);
-//! let trainer = ClassifierTrainer::new(400, 4).with_schedule(LrSchedule::constant(0.5));
+//! let trainer = ClassifierTrainer::new(400, 4).with_schedule(LrSchedule::Constant { lr: 0.5 });
 //! trainer.fit(&mut mlp, &x, &y, None, LossKind::CrossEntropy, &mut rng, &Tracer::noop());
 //! assert_eq!(mlp.predict(&x), y);
 //! # Ok(())

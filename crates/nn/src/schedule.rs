@@ -39,11 +39,6 @@ impl LrSchedule {
         LrSchedule::StepDecay { initial: 0.1, decay: 0.9, every: 20 }
     }
 
-    /// Creates a constant schedule.
-    pub fn constant(lr: f32) -> Self {
-        LrSchedule::Constant { lr }
-    }
-
     /// The learning rate at step `step` (0-indexed).
     pub fn at(self, step: u32) -> f32 {
         match self {
@@ -59,6 +54,13 @@ impl LrSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl LrSchedule {
+        /// Creates a constant schedule.
+        pub(crate) fn constant(lr: f32) -> Self {
+            LrSchedule::Constant { lr }
+        }
+    }
 
     #[test]
     fn constant_never_changes() {

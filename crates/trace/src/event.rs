@@ -265,9 +265,10 @@ impl TraceLog {
     ///
     /// # Errors
     ///
-    /// Returns an error string if the write fails.
+    /// Returns an error string naming the file if the write fails.
     pub fn save_json(&self, path: impl AsRef<std::path::Path>) -> Result<(), String> {
-        std::fs::write(path, self.to_json_string()).map_err(|e| e.to_string())
+        let path = path.as_ref();
+        std::fs::write(path, self.to_json_string()).map_err(|e| format!("{}: {e}", path.display()))
     }
 
     /// Loads a log previously written by [`TraceLog::save_json`].

@@ -81,11 +81,11 @@ echo "==> golden snapshot + trace determinism"
 cargo test -q --offline -p muffin-integration-tests \
     --test golden_snapshot --test trace_determinism
 
-echo "==> checkpoint/resume + persistent eval cache"
+echo "==> checkpoint/resume and extension to a larger budget"
 cargo test -q --offline -p muffin-integration-tests --test checkpoint_resume
 cargo test -q --offline -p muffin-cli --test cli_process
 
-echo "==> pool lifecycle: content-addressed ids + growth e2e (resume and eval cache rejected)"
+echo "==> pool lifecycle: content-addressed ids + growth e2e (stale resume rejected)"
 cargo test -q --offline -p muffin-models --test identity_props
 cargo test -q --offline -p muffin-cli --test cli_process pool_lifecycle
 
@@ -113,6 +113,22 @@ cmp target/muffin-pool-smoke/pool.json target/muffin-pool-smoke/pool.before.json
 
 echo "==> body-output cache equivalence"
 cargo test -q --offline -p muffin-integration-tests --test body_cache_equivalence
+
+echo "==> golden + determinism suites built for the x86-64 baseline (SSE2)"
+# `.cargo/config.toml` builds for the host CPU and claims that vector
+# width changes no float. A RUSTFLAGS variable replaces that config, so
+# this step rebuilds the suites that pin outcome bytes for the x86-64
+# baseline, keeping the function alignment, in a target directory of
+# their own, and runs them: the claim is held by a test.
+if [ "$(uname -m)" = x86_64 ]; then
+    RUSTFLAGS="-C target-cpu=x86-64 -C llvm-args=-align-all-functions=6" \
+        CARGO_TARGET_DIR=target/x86-64-baseline \
+        cargo test -q --offline -p muffin-integration-tests \
+        --test golden_snapshot --test trace_determinism --test parallel_equivalence \
+        --test body_cache_equivalence --test checkpoint_resume
+else
+    echo "not an x86-64 host ($(uname -m)): no x86-64 baseline build"
+fi
 
 echo "==> serving: batching equivalence, load shedding, trace stability"
 cargo test -q --offline -p muffin-serve

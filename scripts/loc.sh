@@ -7,12 +7,15 @@
 #   that file's first `#[cfg(test)]` line;
 # - `pub fn` items per crate, counted the same way;
 # - unreachable `pub fn`s: each non-test `pub fn` under `crates/*/src`
-#   whose name appears as a whole word in no non-test line of `crates/`,
-#   `examples/` or `e2e-bench/` other than a definition (`fn <name>`).
-#   Files under a `tests/` directory hold only test lines; comments are
-#   non-test lines, so a name that only a comment mentions, or that
-#   another item shares (`len`, `new`), is not listed. `muffin-check` is
-#   exempt: it is the test harness, so only tests call it.
+#   whose name appears as a whole word in no code line of `crates/`,
+#   `examples/`, `e2e-bench/` or `tests/` other than a definition
+#   (`fn <name>`). A code line is a non-test line that is not a `//`
+#   comment, so a doc example or a comment is no use. Every file under a
+#   `tests/` directory counts as code: an integration test exercises the
+#   public API as a downstream user would, while a `#[cfg(test)]` module
+#   inside `src/` does not. A name that another item shares (`len`,
+#   `new`) is not listed. `muffin-check` is exempt: it is the test
+#   harness, so only tests call it.
 #
 # Informational only, never a gate. Run from the repository root:
 #
@@ -36,8 +39,8 @@ for dir in crates/*/; do
     printf '  %-6s %s\n' "$crate" "$count"
 done
 
-echo 'unreachable pub fn (no non-test reference in crates/, examples/, e2e-bench/):'
-# One pass: every scanned line adds its words to `used`, after each
+echo 'unreachable pub fn (no code reference in crates/, examples/, e2e-bench/, tests/):'
+# One pass: every scanned code line adds its words to `used`, after each
 # `fn <name>` is blanked so that no definition counts as a use.
 # shellcheck disable=SC2046
 awk "$non_test
@@ -49,7 +52,7 @@ awk "$non_test
         defs[++n] = FILENAME \":\" FNR \" \" name
         names[n] = name
     }
-    !s {
+    !s && !/^[[:space:]]*\/\// {
         line = \$0
         gsub(/(^|[^A-Za-z0-9_])fn[[:space:]]+[A-Za-z_][A-Za-z0-9_]*/, \" \", line)
         k = split(line, words, /[^A-Za-z0-9_]+/)
@@ -58,4 +61,4 @@ awk "$non_test
     END {
         for (i = 1; i <= n; i++) if (!(names[i] in used)) { print \"  \" defs[i]; found = 1 }
         if (!found) print \"  (none)\"
-    }" $(find crates examples e2e-bench -name '*.rs' -not -path '*/tests/*' | sort)
+    }" $(find crates examples e2e-bench tests -name '*.rs' | sort)

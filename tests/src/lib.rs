@@ -135,11 +135,3 @@ pub fn resume_from(path: &Path) -> PersistenceOptions {
         ..checkpoint_to(path)
     }
 }
-
-/// Persistence through the cross-run eval cache at `path` alone.
-pub fn eval_cache_at(path: &Path) -> PersistenceOptions {
-    PersistenceOptions {
-        eval_cache: Some(path.to_path_buf()),
-        ..PersistenceOptions::default()
-    }
-}

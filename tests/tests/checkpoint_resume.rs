@@ -1,16 +1,16 @@
-//! Checkpoint/resume and persistent-evaluation-cache suite.
+//! Checkpoint/resume suite.
 //!
 //! The contract under test: interrupting a checkpointed search and
-//! resuming it — at any worker count, with or without a warm cross-run
-//! evaluation cache — produces a `SearchOutcome` byte-identical to the
-//! uninterrupted run, and every stale or damaged persistence artifact is
-//! rejected loudly instead of silently drifting the trajectory.
+//! resuming it — at any worker count, at the same or a larger episode
+//! budget — produces a `SearchOutcome` byte-identical to the uninterrupted
+//! run, and every stale or damaged checkpoint is rejected loudly instead
+//! of silently drifting the trajectory.
 
 use muffin::{
     EvalCacheFile, MuffinError, MuffinSearch, PersistenceOptions, SearchCheckpoint, SearchConfig,
     Tracer, WorkerPool,
 };
-use muffin_integration_tests::{checkpoint_to, eval_cache_at, resume_from, small_fixture};
+use muffin_integration_tests::{checkpoint_to, resume_from, small_fixture};
 use muffin_models::{Architecture, BackboneConfig, ModelPool};
 use muffin_tensor::Rng64;
 use std::path::PathBuf;
@@ -111,78 +111,63 @@ fn checkpoint_every_spaces_writes_at_batch_boundaries() {
 }
 
 #[test]
-fn warm_eval_cache_reports_disk_hits_and_leaves_outcome_unchanged() {
-    let (search, rng) = search_with(6, 2);
-    let cache = tmp("eval_cache_warm.json");
-    let opts = eval_cache_at(&cache);
-
-    // Cold run: no disk hits, cache file written at the end.
-    let cold_tracer = Tracer::capturing();
-    let (split, pool) = (search.split().clone(), search.pool().clone());
-    let cold_search = MuffinSearch::new(pool, split, search.config().clone())
-        .expect("valid")
-        .with_tracer(cold_tracer.clone());
-    let cold = cold_search
-        .run_persistent(&mut rng.clone(), &WorkerPool::serial(), &opts)
-        .expect("cold run");
-    assert_eq!(cold_tracer.counter_value("search.cache_hit_disk"), 0);
-    assert!(cache.exists(), "cold run must write the cache");
-
-    // Warm run: every episode is served from disk; outcome unchanged.
-    let warm_tracer = Tracer::capturing();
-    let (split, pool) = (search.split().clone(), search.pool().clone());
-    let warm_search = MuffinSearch::new(pool, split, search.config().clone())
-        .expect("valid")
-        .with_tracer(warm_tracer.clone());
-    let warm = warm_search
-        .run_persistent(&mut rng.clone(), &WorkerPool::new(3), &opts)
-        .expect("warm run");
-    let hits = warm_tracer.counter_value("search.cache_hit_disk");
-    assert_eq!(hits, 6, "all six episodes served from the disk cache");
-    assert_eq!(warm_tracer.counter_value("search.cache_miss"), 0);
-    assert_eq!(muffin_json::to_string(&warm), muffin_json::to_string(&cold));
-    std::fs::remove_file(cache).ok();
-}
-
-#[test]
 fn eval_cache_from_a_shorter_run_accelerates_a_longer_one() {
-    // Same fingerprint (episode budget excluded): a 4-episode run's cache
-    // must serve the first batches of an 8-episode run bit-identically.
+    // Same fingerprint (episode budget excluded): a 4-episode run's
+    // checkpoint carries its evaluation cache, so an 8-episode run resumed
+    // from it trains none of those candidates again and still matches the
+    // uninterrupted run bit for bit.
     let (short, rng) = search_with(4, 2);
-    let cache = tmp("eval_cache_extend.json");
-    let opts = eval_cache_at(&cache);
+    let ckpt = tmp("eval_cache_extend.json");
     short
-        .run_persistent(&mut rng.clone(), &WorkerPool::serial(), &opts)
+        .run_persistent(
+            &mut rng.clone(),
+            &WorkerPool::serial(),
+            &checkpoint_to(&ckpt),
+        )
         .expect("short run");
+    let text = std::fs::read_to_string(&ckpt).expect("read");
+    let written: SearchCheckpoint = muffin_json::from_str(&text).expect("parse");
+    assert!(!written.cache.is_empty());
 
     let (long, long_rng) = search_with(8, 2);
-    let clean = outcome_json(&long, &long_rng, &PersistenceOptions::default());
+    let clean = long
+        .run_persistent(
+            &mut long_rng.clone(),
+            &WorkerPool::serial(),
+            &PersistenceOptions::default(),
+        )
+        .expect("clean run");
     let tracer = Tracer::capturing();
     let (split, pool) = (long.split().clone(), long.pool().clone());
     let long = MuffinSearch::new(pool, split, long.config().clone())
         .expect("valid")
         .with_tracer(tracer.clone());
-    let warm = long
-        .run_persistent(&mut long_rng.clone(), &WorkerPool::serial(), &opts)
-        .expect("long warm run");
-    assert!(tracer.counter_value("search.cache_hit_disk") >= 1);
-    assert_eq!(muffin_json::to_string(&warm), clean);
-    std::fs::remove_file(cache).ok();
+    let extended = long
+        .run_persistent(
+            &mut long_rng.clone(),
+            &WorkerPool::serial(),
+            &resume_from(&ckpt),
+        )
+        .expect("extension runs");
+    assert_eq!(
+        muffin_json::to_string(&extended),
+        muffin_json::to_string(&clean)
+    );
+    // Only the candidates the short run never met were trained.
+    let trained = clean.distinct().len() - written.cache.len();
+    assert_eq!(tracer.counter_value("search.cache_miss"), trained as u64);
+    std::fs::remove_file(ckpt).ok();
 }
 
 #[test]
 fn mismatched_fingerprints_are_rejected_loudly() {
     let (search, rng) = search_with(4, 2);
     let ckpt = tmp("fingerprint_reject.json");
-    let cache = tmp("fingerprint_reject_cache.json");
     search
         .run_persistent(
             &mut rng.clone(),
             &WorkerPool::serial(),
-            &PersistenceOptions {
-                eval_cache: Some(cache.clone()),
-                ..checkpoint_to(&ckpt)
-            },
+            &checkpoint_to(&ckpt),
         )
         .expect("seed run");
 
@@ -239,39 +224,7 @@ fn mismatched_fingerprints_are_rejected_loudly() {
         "unexpected error: {err}"
     );
 
-    // An eval cache follows the same rule: its records were trained from
-    // the old run's head seeds, so a search over the grown pool rejects
-    // it by the added model's id and leaves the file as it was.
-    let cache_bytes = std::fs::read(&cache).expect("seed run wrote the cache");
-    let err = grown
-        .run_persistent(
-            &mut grown_rng.clone(),
-            &WorkerPool::serial(),
-            &eval_cache_at(&cache),
-        )
-        .expect_err("a cache written before growth must be rejected");
-    assert!(
-        matches!(&err, MuffinError::StaleArtifact(msg)
-            if msg.contains("model pool grew") && msg.contains(&added_id)),
-        "unexpected error: {err}"
-    );
-    assert_eq!(std::fs::read(&cache).expect("cache bytes"), cache_bytes);
-
-    // Same checkpoint misused as an eval cache: also rejected (different
-    // schema ⇒ corrupt), never silently read.
-    let err = search
-        .run_persistent(
-            &mut rng.clone(),
-            &WorkerPool::serial(),
-            &eval_cache_at(&ckpt),
-        )
-        .expect_err("checkpoint is not an eval cache");
-    assert!(
-        matches!(err, MuffinError::StaleArtifact(_)),
-        "unexpected error: {err}"
-    );
     std::fs::remove_file(ckpt).ok();
-    std::fs::remove_file(cache).ok();
 }
 
 #[test]
@@ -408,20 +361,26 @@ fn files_whose_config_holds_a_null_space_still_load() {
     // Checkpoints and eval caches written before `SearchConfig::space` was
     // removed carry `"space":null` as the last key of `fingerprint.config`.
     // Loading skips the key, and the fingerprint compares the config as
-    // re-serialised, so such files resume and warm a search unchanged.
+    // re-serialised, so such files load and resume a search unchanged.
     let (short, rng) = search_with(4, 2);
     let ckpt = tmp("null_space.json");
     let cache = tmp("null_space_cache.json");
-    let both = |resume| PersistenceOptions {
-        resume,
-        eval_cache: Some(cache.clone()),
-        ..checkpoint_to(&ckpt)
-    };
     short
-        .run_persistent(&mut rng.clone(), &WorkerPool::serial(), &both(false))
+        .run_persistent(
+            &mut rng.clone(),
+            &WorkerPool::serial(),
+            &checkpoint_to(&ckpt),
+        )
         .expect("short run");
-    let written: EvalCacheFile =
-        muffin_json::from_str(&std::fs::read_to_string(&cache).expect("read")).expect("parse");
+    let written: SearchCheckpoint =
+        muffin_json::from_str(&std::fs::read_to_string(&ckpt).expect("read")).expect("parse");
+    EvalCacheFile {
+        version: written.version,
+        fingerprint: written.fingerprint.clone(),
+        records: written.cache.clone(),
+    }
+    .save(&cache)
+    .expect("save the cache");
     for path in [&ckpt, &cache] {
         let text = std::fs::read_to_string(path).expect("read");
         let config_end = "\"reinforce_batch\":2}";
@@ -430,18 +389,18 @@ fn files_whose_config_holds_a_null_space_still_load() {
         std::fs::write(path, older).expect("write");
     }
 
-    let loaded = EvalCacheFile::load(&cache, &written.fingerprint)
+    let loaded = EvalCacheFile::load_warm(&cache, &written.fingerprint, false)
         .expect("the older cache loads")
         .expect("present");
     assert_eq!(
         muffin_json::to_string(&loaded.records),
-        muffin_json::to_string(&written.records)
+        muffin_json::to_string(&written.cache)
     );
 
     let (long, _) = search_with(8, 2);
     let clean = outcome_json(&long, &rng, &PersistenceOptions::default());
     let resumed = long
-        .run_persistent(&mut rng.clone(), &WorkerPool::serial(), &both(true))
+        .run_persistent(&mut rng.clone(), &WorkerPool::serial(), &resume_from(&ckpt))
         .expect("the older checkpoint resumes");
     assert_eq!(muffin_json::to_string(&resumed), clean);
     std::fs::remove_file(ckpt).ok();
