@@ -3,9 +3,9 @@
 //! *extension* apart from any other pool *change*.
 //!
 //! Muffin unites *off-the-shelf* models, and off-the-shelf pools evolve:
-//! new backbones arrive, stale ones retire. Search artifacts (checkpoints,
-//! eval caches) serve only the pool they were written for and reject any
-//! edited pool with a message that names the models involved. The unit of
+//! new backbones arrive, stale ones retire. Search checkpoints serve only
+//! the pool they were written for and reject any edited pool with a
+//! message that names the models involved. The unit of
 //! identity is the [`fnv1a64`] hash of a model's own serialised bytes —
 //! two models are the same exactly when they would behave identically,
 //! regardless of where they sit in the pool.
@@ -141,8 +141,8 @@ pub enum PoolRelation {
     Identical,
     /// The old pool is a strict prefix of the new one: every recorded
     /// model is still at its old index and `added` models were appended.
-    /// This is the shape `muffin pool add` produces. Neither a checkpoint
-    /// nor an eval cache carries across it; the rejection names `added`.
+    /// This is the shape `muffin pool add` produces. No checkpoint carries
+    /// across it; the rejection names `added`.
     Grew {
         /// The appended models, in pool order.
         added: Vec<ModelIdentity>,
